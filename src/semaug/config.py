@@ -76,7 +76,7 @@ REGISTRY = {
     "bound.samples": (_int, 100000),
     "grad.trials": (_int, 100),
     "grad.composed_trials": (_int, 10),
-    "grad.epsilon": (_float, 3e-5),
+    "grad.epsilon": (_float, 6e-5),
 }
 
 

@@ -91,7 +91,7 @@ def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> 
     """Evaluate d_j^T Cov d_j with d_j = w_j - w_label against one class's cov.
 
     The label's own entry is exactly zero (its difference vector is zero).
-    Diagonal covariances reduce to sum_a cov[a] * d_j[a]^2.
+    Computed through :func:`forms_and_product`, the path the losses use.
     """
     w = np.asarray(head_weights, dtype=float)
     dim = stats.mean.shape[0]
@@ -99,13 +99,21 @@ def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> 
         raise ValueError(f"weights have shape {w.shape}, expected (C, {dim})")
     if not 0 <= label < w.shape[0]:
         raise ValueError(f"label {label} out of range for {w.shape[0]} weight rows")
-    d = w - w[label]
-    if stats.cov.ndim == 2:
-        phi = np.einsum("cf,fg,cg->c", d, stats.cov, d)
-    else:
-        phi = (d * d) @ stats.cov
+    return forms_and_product(stats, w - w[label], label)[0]
+
+
+def forms_and_product(stats: ClassStats, diffs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic forms phi and covariance product U of difference rows.
+
+    ``diffs`` holds d_j = w_j - w_label.  One matrix product U = D Cov
+    (C x F x F, or C x F elementwise for a diagonal covariance) gives both
+    phi_j = d_j . U_j, with phi_label = 0, and the U the loss gradients
+    need, so callers never form the product twice.
+    """
+    U = apply_cov(stats, diffs)
+    phi = np.einsum("cf,cf->c", diffs, U)
     phi[label] = 0.0
-    return phi
+    return phi, U
 
 
 def apply_cov(stats: ClassStats, rows: np.ndarray) -> np.ndarray:
@@ -149,40 +157,75 @@ def save_bank(bank: CovarianceBank, path: str) -> None:
     (class_id, count, mean entries, row-major covariance entries), printed
     with 17 significant digits so float64 values round-trip bit-exactly.
     """
+    cov_len = bank.dim * bank.dim if bank.mode == FULL else bank.dim
+    row = ",".join(["%d", "%d"] + ["%.17g"] * (bank.dim + cov_len)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"num_classes={bank.num_classes},dim={bank.dim},mode={bank.mode}\n")
         for st in bank.stats:
-            cells = [str(st.class_id), str(st.count)]
-            cells += [format(v, ".17g") for v in st.mean]
-            cells += [format(v, ".17g") for v in np.ravel(st.cov)]
-            fh.write(",".join(cells) + "\n")
+            cells = (st.class_id, st.count) + tuple(st.mean.tolist()) + tuple(np.ravel(st.cov).tolist())
+            fh.write(row % cells)
 
 
 def load_bank(path: str) -> CovarianceBank:
-    """Read a snapshot written by :func:`save_bank`."""
+    """Read a snapshot written by :func:`save_bank`.
+
+    Every defect raises ``ValueError("<path>: line N: ...")``: a malformed
+    header, a wrong row or cell count, a class id that is not an integer in
+    range or that repeats, a negative count, a non-finite cell, a negative
+    variance, or a full covariance asymmetric beyond 1e-12 * trace.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty bank file")
-    header = dict(item.split("=", 1) for item in lines[0].split(","))
+        raise ValueError(f"{path}: line 1: empty bank file")
+    head_no, head = lines[0]
     try:
+        header = dict(item.split("=", 1) for item in head.split(","))
         num_classes = int(header["num_classes"])
         dim = int(header["dim"])
         mode = header["mode"]
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed bank header {lines[0]!r}") from exc
-    bank = CovarianceBank(num_classes, dim, mode)
-    cov_len = dim * dim if mode == FULL else dim
+    except (KeyError, ValueError):
+        num_classes = dim = mode = None
+    if num_classes is None or num_classes < 1 or dim < 1 or mode not in (FULL, DIAGONAL):
+        raise ValueError(f"{path}: line {head_no}: malformed bank header {head!r}")
     if len(lines) - 1 != num_classes:
-        raise ValueError(f"{path}: expected {num_classes} rows, found {len(lines) - 1}")
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
+        # blame the first surplus row, or the line after the last one
+        n = lines[num_classes + 1][0] if len(lines) - 1 > num_classes else lines[-1][0] + 1
+        raise ValueError(f"{path}: line {n}: expected {num_classes} rows, found {len(lines) - 1}")
+    cov_len = dim * dim if mode == FULL else dim
+    rows = [(n, ln.split(",")) for n, ln in lines[1:]]
+    # Cell counts are checked before the bank is allocated, so a header
+    # that claims a huge geometry cannot allocate more than the file holds.
+    for n, cells in rows:
         if len(cells) != 2 + dim + cov_len:
-            raise ValueError(f"{path}: line {lineno}: expected {2 + dim + cov_len} cells, got {len(cells)}")
-        cid = int(cells[0])
-        st = bank.stats[cid]
-        st.count = int(cells[1])
-        st.mean = np.array([float(v) for v in cells[2:2 + dim]])
-        flat = np.array([float(v) for v in cells[2 + dim:]])
-        st.cov = flat.reshape(dim, dim) if mode == FULL else flat
+            raise ValueError(f"{path}: line {n}: expected {2 + dim + cov_len} cells, got {len(cells)}")
+    bank = CovarianceBank(num_classes, dim, mode)
+    seen = set()
+    for n, cells in rows:
+        where = f"{path}: line {n}"
+        try:
+            cid, count = int(cells[0]), int(cells[1])
+            values = np.array([float(v) for v in cells[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not 0 <= cid < num_classes:
+            raise ValueError(f"{where}: class id {cid} out of range [0, {num_classes})")
+        if cid in seen:
+            raise ValueError(f"{where}: duplicate class id {cid}")
+        seen.add(cid)
+        if count < 0:
+            raise ValueError(f"{where}: negative count {count}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{where}: non-finite mean or covariance cell")
+        mean, cov = values[:dim], values[dim:]
+        if mode == FULL:
+            cov = cov.reshape(dim, dim)
+        variances = np.diagonal(cov) if mode == FULL else cov
+        if np.any(variances < 0.0):
+            raise ValueError(f"{where}: negative variance {float(variances.min())!r}")
+        if mode == FULL:
+            asym = float(np.max(np.abs(cov - cov.T)))
+            if asym > 1e-12 * float(np.trace(cov)):
+                raise ValueError(f"{where}: covariance asymmetric by {asym:.3e}")
+        bank.stats[cid] = ClassStats(cid, count, mean, cov)
     return bank

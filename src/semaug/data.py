@@ -145,10 +145,19 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """Read a dataset CSV written by :func:`write_dataset`.
+
+    Every defect, including a non-finite feature or a label outside
+    [0, 2**63), raises ``ValueError("<path>: line N: ...")``.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError(f"{path}: line 1: empty file")
     header = rows[0]
     if len(header) < 3 or header[0] != "label" or header[-1] != "split":
         raise ValueError(f"{path}: line 1: expected header 'label,x0,...,split'")
@@ -162,15 +171,21 @@ def read_dataset(path) -> Dataset:
         if len(row) != d + 2:
             raise ValueError(f"{path}: line {ln}: expected {d + 2} fields, got {len(row)}")
         try:
-            labels.append(int(row[0]))
-            feats.append([float(v) for v in row[1:-1]])
+            label = int(row[0])
+            x = [float(v) for v in row[1:-1]]
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
+        if not 0 <= label < 2**63:
+            raise ValueError(f"{path}: line {ln}: label {label} outside [0, 2**63)")
+        if not all(math.isfinite(v) for v in x):
+            raise ValueError(f"{path}: line {ln}: non-finite feature")
         if row[-1] not in (TRAIN, EVAL):
             raise ValueError(f"{path}: line {ln}: unknown split tag {row[-1]!r}")
+        labels.append(label)
+        feats.append(x)
         split.append(row[-1])
     if not labels:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError(f"{path}: line {len(rows) + 1}: no data rows")
     return Dataset(features=np.array(feats), labels=np.array(labels), split=np.array(split))
 
 

@@ -23,6 +23,7 @@ from .losses import (
     dasa_bound,
     difficulty_da,
     difficulty_dy,
+    finite_difference_error,
     isda_bound,
     lambda_schedule,
     loss_gradient_check,
@@ -306,39 +307,11 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         def value() -> float:
             return loss_of(emb, head)[0].value
 
-        def rel(ga, gf):
-            return abs(ga - gf) / max(1e-8, abs(ga) + abs(gf))
-
-        worst = 0.0
-        for layer, (gW, gb) in enumerate(param_grads):
-            for arr, g in ((emb.weights[layer], gW), (emb.biases[layer], gb)):
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + epsilon
-                    vp = value()
-                    arr[idx] = orig - epsilon
-                    vm = value()
-                    arr[idx] = orig
-                    worst = max(worst, rel(g[idx], (vp - vm) / (2 * epsilon)))
-                    it.iternext()
-        for idx in np.ndindex(head.weights.shape):
-            orig = head.weights[idx]
-            head.weights[idx] = orig + epsilon
-            vp = value()
-            head.weights[idx] = orig - epsilon
-            vm = value()
-            head.weights[idx] = orig
-            worst = max(worst, rel(loss.grad_weights[idx], (vp - vm) / (2 * epsilon)))
+        pairs = [pair for layer, (gW, gb) in enumerate(param_grads)
+                 for pair in ((emb.weights[layer], gW), (emb.biases[layer], gb))]
+        pairs.append((head.weights, loss.grad_weights))
         if loss.grad_biases is not None:
-            for i in range(head.biases.size):
-                orig = head.biases[i]
-                head.biases[i] = orig + epsilon
-                vp = value()
-                head.biases[i] = orig - epsilon
-                vm = value()
-                head.biases[i] = orig
-                worst = max(worst, rel(loss.grad_biases[i], (vp - vm) / (2 * epsilon)))
+            pairs.append((head.biases, loss.grad_biases))
+        worst = finite_difference_error(value, pairs, epsilon)
         out.append(GradTrial(kind="composed", variant=variant, trial=k, max_rel_error=worst))
     return out

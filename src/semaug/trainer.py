@@ -315,22 +315,73 @@ def save_model(path, embedder: TinyEmbedder, head: ClassifierHead) -> None:
 
 
 def load_model(path) -> tuple[TinyEmbedder, ClassifierHead]:
+    """Read a snapshot written by :func:`save_model`.
+
+    Rows must come in the order ``save_model`` writes them, with the
+    lengths the ``layers`` row implies.  Every defect (a missing, foreign
+    or surplus row, a wrong length, a non-numeric or non-finite value, a
+    bad layer size, scale or margin) raises ``ValueError("<path>: line N: ...")``.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["semaug-model"]:
-        raise ValueError(f"{path}: not a model snapshot")
-    fields = {r[0]: r[1:] for r in rows[1:] if r}
-    sizes = [int(s) for s in fields["layers"]]
-    emb = TinyEmbedder(sizes, rng=None)
+        reader = csv.reader(fh)
+        try:
+            rows = [(n, r) for n, r in enumerate(reader, start=1) if r]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows or rows[0][1][:1] != ["semaug-model"]:
+        raise ValueError(f"{path}: line 1: not a model snapshot")
+    rest = iter(rows[1:])
+    end = rows[-1][0] + 1
+
+    def take(name: str, length: int | None = None) -> tuple[int, list]:
+        n, r = next(rest, (end, None))
+        if r is None:
+            raise ValueError(f"{path}: line {n}: missing row {name!r}")
+        if r[0] != name:
+            raise ValueError(f"{path}: line {n}: expected row {name!r}, found {r[0]!r}")
+        if length is not None and len(r) - 1 != length:
+            raise ValueError(f"{path}: line {n}: row {name!r} has {len(r) - 1} values, expected {length}")
+        return n, r[1:]
+
+    def numbers(name: str, length: int | None = None, kind=float) -> tuple[int, list]:
+        n, cells = take(name, length)
+        try:
+            values = [kind(v) for v in cells]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: row {name!r}: {exc}") from None
+        if kind is float and not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: line {n}: row {name!r} has a non-finite value")
+        return n, values
+
+    n, sizes = numbers("layers", kind=int)
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}: line {n}: layer sizes {sizes} need >= 2 positive entries")
+    n, (scale,) = numbers("scale", 1)
+    if not scale > 0:
+        raise ValueError(f"{path}: line {n}: scale must be positive, got {scale}")
+    n, (margin,) = numbers("margin", 1)
+    if margin < 0:
+        raise ValueError(f"{path}: line {n}: margin must be nonnegative, got {margin}")
+    n, (has_biases,) = numbers("head_biases", 1, kind=int)
+    if has_biases not in (0, 1):
+        raise ValueError(f"{path}: line {n}: head_biases must be 0 or 1, got {has_biases}")
+    # Every tensor row is read and length-checked before the embedder
+    # allocates, so the layer sizes cannot claim more memory than the file holds.
+    layers = []
     for k, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        emb.weights[k] = np.array([float(v) for v in fields[f"W{k}"]]).reshape(fan_out, fan_in)
-        emb.biases[k] = np.array([float(v) for v in fields[f"b{k}"]])
-    hw = np.array([float(v) for v in fields["HW"]])
-    C = hw.size // sizes[-1]
-    head = ClassifierHead(
-        weights=hw.reshape(C, sizes[-1]),
-        biases=np.array([float(v) for v in fields["Hb"]]) if int(fields["head_biases"][0]) else None,
-        scale=float(fields["scale"][0]),
-        margin=float(fields["margin"][0]),
-    )
+        W = np.array(numbers(f"W{k}", fan_in * fan_out)[1]).reshape(fan_out, fan_in)
+        layers.append((W, np.array(numbers(f"b{k}", fan_out)[1])))
+    n, hw = numbers("HW")
+    F = sizes[-1]
+    if not hw or len(hw) % F:
+        raise ValueError(f"{path}: line {n}: row 'HW' has {len(hw)} values, expected a positive multiple of {F}")
+    C = len(hw) // F
+    biases = np.array(numbers("Hb", C)[1]) if has_biases else None
+    extra = next(rest, None)
+    if extra is not None:
+        raise ValueError(f"{path}: line {extra[0]}: unexpected row {extra[1][0]!r}")
+    emb = TinyEmbedder(sizes, rng=None)
+    emb.weights = [W for W, _ in layers]
+    emb.biases = [b for _, b in layers]
+    head = ClassifierHead(weights=np.array(hw).reshape(C, F), biases=biases, scale=scale, margin=margin)
     return emb, head

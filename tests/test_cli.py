@@ -146,6 +146,24 @@ def test_grad_check_small_run_passes(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 5 + 1
 
 
+# Seed 39 draws loss/daam trial 29 with cos_y = 1 - 1.47e-5.  The default
+# steps of 3e-5 and 6e-5 on the embedding push cos_y past the difficulty
+# clamp at 1, so the differences straddle the kink (relative error 3.5e-2)
+# although the analytic gradient matches the one-sided derivative inside it.
+GRAD_CHECK_SEEDS = [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True, reason="difference stencil crosses the difficulty clamp"))
+    if s == 39 else s
+    for s in range(11, 41)
+]
+
+
+@pytest.mark.parametrize("seed", GRAD_CHECK_SEEDS)
+def test_grad_check_passes_at_default_settings(tmp_path, seed):
+    """The full default suite (100 trials per loss variant, 10 composed)
+    stays under the 1e-5 gate at these seeds."""
+    assert entry(["grad-check", "--seed", str(seed), "--out", str(tmp_path / "gc")]) == 0
+
+
 def test_grad_check_rejects_bad_epsilon(tmp_path, capsys):
     code = entry(["grad-check", "--out", str(tmp_path / "gc"),
                   "--set", "grad.epsilon=1e-8", "--set", "grad.trials=1",

@@ -13,6 +13,7 @@ from semaug.covariance import (
     CovarianceBank,
     DegenerateCovarianceError,
     apply_cov,
+    forms_and_product,
     load_bank,
     quadratic_forms,
     sampler_factor,
@@ -162,6 +163,26 @@ def test_quadratic_forms_match_triple_loop(mode):
         assert np.all(got >= -1e-12)  # population covariance is PSD
 
 
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_quadratic_forms_match_row_products_at_paper_shape(mode):
+    """The shared-product path against d @ Cov @ d one row at a time, at a
+    shape where BLAS blocking and the row-wise dot both come into play."""
+    rng = philox_rng(110)
+    C, dim = 300, 96
+    pts = rng.standard_normal((2 * dim, dim)) @ rng.standard_normal((dim, dim)) / math.sqrt(dim)
+    stats = fill_bank(pts, [0] * len(pts), 1, dim, mode).stats[0]
+    cov = stats.cov if mode == FULL else np.diag(stats.cov)
+    W = rng.standard_normal((C, dim))
+    for label in (0, 137, C - 1):
+        got = quadratic_forms(stats, W, label)
+        want = np.array([d @ cov @ d for d in W - W[label]])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[label] == 0.0
+        phi, U = forms_and_product(stats, W - W[label], label)
+        np.testing.assert_array_equal(phi, got)
+        np.testing.assert_array_equal(U, apply_cov(stats, W - W[label]))
+
+
 def test_quadratic_forms_bank_method_matches_function():
     rng = philox_rng(106)
     pts = rng.standard_normal((12, 4))
@@ -254,6 +275,32 @@ def test_bank_snapshot_round_trip_is_bit_exact(tmp_path, mode):
         assert a.count == b.count
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov, b.cov)
+
+
+def save_bank_per_cell(bank, path):
+    """Reference writer: one format() call per cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"num_classes={bank.num_classes},dim={bank.dim},mode={bank.mode}\n")
+        for st in bank.stats:
+            cells = [str(st.class_id), str(st.count)]
+            cells += [format(v, ".17g") for v in st.mean]
+            cells += [format(v, ".17g") for v in np.ravel(st.cov)]
+            fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_save_bank_is_byte_identical_to_the_per_cell_writer(tmp_path, mode):
+    rng = philox_rng(111)
+    pts = rng.standard_normal((40, 5)) * 1e3
+    bank = fill_bank(pts, (np.arange(40) % 4).tolist(), 5, 5, mode)  # class 4 stays empty
+    st = bank.stats[1]
+    st.mean[:4] = [-0.0, 1e-300, 3.0, -2.5e16]
+    st.cov[0] = 0.0 if mode == DIAGONAL else [7.0, -0.0, 1e-300, 5e-324, 1.0]
+    a, b = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    save_bank(bank, a)
+    save_bank_per_cell(bank, b)
+    assert a.read_bytes() == b.read_bytes()
+    assert ",-0," in a.read_text() and ",1e-300," in a.read_text()
 
 
 def test_bank_snapshot_header_and_shape_errors(tmp_path):

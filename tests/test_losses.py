@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semaug.covariance import FULL, ClassStats, CovarianceBank
+from semaug.covariance import DIAGONAL, FULL, ClassStats, CovarianceBank
 from semaug.losses import (
     ClassifierHead,
     LossConfig,
@@ -22,6 +22,8 @@ from semaug.losses import (
     loss_gradient_check,
     margin_bound,
     softmax_ce,
+    _coef_and_slope,
+    _ramp,
 )
 from semaug.rng import philox_rng
 
@@ -506,6 +508,130 @@ def test_saturated_margin_gradients_agree_absolutely():
         fd = (am_softmax(f, hp, 0).value - am_softmax(f, hm, 0).value) / (2 * eps)
         worst = max(worst, abs(out.grad_weights[idx] - fd))
     assert worst < 1e-8
+
+
+def test_gradient_check_catches_a_planted_error():
+    """A 1e-4 relative error in a single analytic entry shows as ~5e-5,
+    well above the 1e-5 gate, while the untouched gradients pass."""
+    rng = philox_rng(213)
+    f = unit(rng, 4)
+    W = rng.standard_normal((5, 4)) / 2.0
+    bank = bank_with(random_stats(rng, 4), 5, 2)
+    head = ClassifierHead(weights=W, biases=rng.standard_normal(5) / 2.0)
+
+    def planted(field, idx):
+        def fn(e, h):
+            out = isda_bound(e, h, bank, 0.05, 2)
+            getattr(out, field)[idx] *= 1.0 + 1e-4
+            return out
+        return fn
+
+    assert loss_gradient_check(lambda e, h: isda_bound(e, h, bank, 0.05, 2), f, head) < 1e-5
+    for field, idx in (("grad_embedding", 1), ("grad_weights", (0, 1)), ("grad_biases", 3)):
+        assert loss_gradient_check(planted(field, idx), f, head) > 4e-5, field
+
+
+# -- shared covariance product against the two-product formulation ----------
+# The cores read phi_j = d_j . (d_j Cov) off the same product the gradient
+# uses.  The oracles below are the cores as they were before: phi from a
+# three-operand einsum, and the product formed a second time for the gradient.
+
+
+def _two_products(d, cov, label):
+    phi = np.einsum("cf,fg,cg->c", d, cov, d) if cov.ndim == 2 else (d * d) @ cov
+    phi[label] = 0.0
+    return phi, (d @ cov if cov.ndim == 2 else d * cov)
+
+
+def two_product_isda(f, head, cov, lam, label):
+    W = head.weights
+    z = W @ f + head.biases
+    phi, U = _two_products(W - W[label], cov, label)
+    a = (z - z[label]) + 0.5 * lam * phi
+    a[label] = 0.0
+    ea = np.exp(a - a.max())
+    p = ea / ea.sum()
+    grad_W = p[:, None] * (f[None, :] + lam * U)
+    grad_W[label] = (p[label] - 1.0) * f - lam * (p @ U)
+    grad_b = p.copy()
+    grad_b[label] -= 1.0
+    return a.max() + math.log(ea.sum()), W.T @ p - W[label], grad_W, grad_b
+
+
+def two_product_margin(f, head, cov, label, margin_mode, strength_mode, lam, ramp, gamma, coef=None):
+    norms = np.linalg.norm(head.weights, axis=1)
+    What = head.weights / norms[:, None]
+    s, m = head.scale, head.margin
+    u = What @ f
+    uy = float(u[label])
+    dcoef = 0.0
+    if coef is None:
+        coef, dcoef = _coef_and_slope(margin_mode, uy, gamma)
+    dlam = 0.0
+    if strength_mode != "constant":
+        c, dc = _coef_and_slope(strength_mode, uy, gamma)
+        lam, dlam = ramp * c, ramp * dc
+    phi, U = _two_products(What - What[label], cov, label)
+    b = s * (u - uy) + s * m * coef + 0.5 * lam * s * s * phi
+    b[label] = 0.0
+    eb = np.exp(b - b.max())
+    qn = eb / eb.sum()
+    qn[label] = 0.0
+    duy = (-s + s * m * dcoef) * qn.sum() + 0.5 * s * s * dlam * float(qn @ phi)
+    g_hat = (s * qn)[:, None] * f[None, :] + (lam * s * s) * qn[:, None] * U
+    g_hat[label] = duy * f - (lam * s * s) * (qn @ U)
+    proj = g_hat - np.sum(g_hat * What, axis=1, keepdims=True) * What
+    return b.max() + math.log(eb.sum()), s * (qn @ What) + duy * What[label], proj / norms[:, None]
+
+
+def assert_same_loss(out, want):
+    value, grad_f, grad_W = want[:3]
+    assert abs(out.value - value) <= 1e-12 * abs(value)
+    for got, ref in ((out.grad_embedding, grad_f), (out.grad_weights, grad_W)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if len(want) == 4:
+        assert np.max(np.abs(out.grad_biases - want[3])) <= 1e-12 * np.max(np.abs(want[3]))
+
+
+def stats_in_mode(rng, dim, mode):
+    stats = random_stats(rng, dim)
+    if mode == DIAGONAL:
+        stats.cov = np.diagonal(stats.cov).copy()
+    return stats
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_cores_match_the_two_product_formulation(mode):
+    rng = philox_rng(214)
+    C, F = 40, 24
+    for trial in range(6):
+        W = rng.standard_normal((C, F)) / math.sqrt(F)
+        f = unit(rng, F)
+        label = int(rng.integers(0, C))
+        stats = stats_in_mode(rng, F, mode)
+        stats.cov *= 0.3 / np.mean(stats.cov if mode == DIAGONAL else np.diagonal(stats.cov))
+        bank = CovarianceBank(C, F, mode)
+        bank.stats[label] = ClassStats(label, stats.count, stats.mean, stats.cov)
+        lam = 0.05 + 0.3 * rng.random()
+
+        head = ClassifierHead(weights=W, biases=rng.standard_normal(C) / 2.0)
+        assert_same_loss(isda_bound(f, head, bank, lam, label),
+                         two_product_isda(f, head, stats.cov, lam, label))
+
+        head = ClassifierHead(weights=W, scale=6.0 + trial, margin=0.2)
+        coef = 0.3 + rng.random()
+        assert_same_loss(margin_bound(f, head, stats, label, lam, coef),
+                         two_product_margin(f, head, stats.cov, label, "none", "constant",
+                                            lam, 0.0, 1.0, coef=coef))
+        for difficulty in ("none", "DA", "DY"):
+            for strength in ("constant", "DA", "DY"):
+                cfg = LossConfig(variant="dasa", difficulty=difficulty, strength_mode=strength,
+                                 lambda0=lam, ramp_total_iters=10, deferred_fraction=0.2)
+                t = 3 + trial
+                want = two_product_margin(f, head, stats.cov, label, difficulty, strength,
+                                          lambda_schedule(t, cfg) if strength == "constant" else 0.0,
+                                          _ramp(t, cfg), cfg.gamma)
+                assert_same_loss(dasa_bound(f, head, bank, label, cfg, t), want)
 
 
 # -- input validation -------------------------------------------------------------

@@ -31,6 +31,7 @@ from .losses import (
     loss_gradient_check,
     margin_bound,
     softmax_ce,
+    variant_loss,
 )
 from .metrics import (
     DcfParams,

@@ -160,15 +160,12 @@ def to_synth_spec(cfg: dict) -> SynthSpec:
 def to_loss_config(cfg: dict, variant: str | None = None) -> LossConfig:
     v = variant if variant is not None else cfg["loss.variant"]
     difficulty = cfg["loss.difficulty"]
-    strength = cfg["loss.strength_mode"]
     if v in ("softmax", "isda", "am"):
         difficulty = "none"
-    if v != "dasa":
-        strength = "constant"
     return LossConfig(
         variant=v,
         difficulty=difficulty,
-        strength_mode=strength,
+        strength_mode=cfg["loss.strength_mode"],
         lambda0=cfg["loss.lambda0"],
         gamma=cfg["loss.gamma"],
         ramp_total_iters=1,  # the trainer replaces this with its true horizon

@@ -80,12 +80,6 @@ class CovarianceBank:
             st.cov = (n * st.cov + (n / n1) * delta * delta) / n1
         st.count = n1
 
-    def quadratic_forms(self, label: int, head_weights: np.ndarray) -> np.ndarray:
-        """Quadratic forms (w_j - w_y)^T Cov_y (w_j - w_y) for all rows j."""
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} out of range [0, {self.num_classes})")
-        return quadratic_forms(self.stats[label], head_weights, label)
-
 
 def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> np.ndarray:
     """Evaluate d_j^T Cov d_j with d_j = w_j - w_label against one class's cov.

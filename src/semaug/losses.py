@@ -1,23 +1,29 @@
 """Loss functions for embedding classifiers, with analytic gradients.
 
-Five variants share this module:
+All five variants are one expression for a sample f of class y,
 
-* ``softmax_ce``   - plain cross entropy on unnormalized logits w.f + b.
-* ``isda_bound``   - closed-form upper bound on the expected cross entropy
-  when embeddings are perturbed by a class-conditional Gaussian of
-  covariance lam*Cov; reduces to ``softmax_ce`` at lam = 0.
-* ``am_softmax``   - additive-margin softmax on scaled cosine logits.
-* ``daam_softmax`` - additive-margin softmax whose margin is scaled per
-  sample by a difficulty coefficient (``DA`` or ``DY``).
-* ``dasa_bound``   - closed-form upper bound on the expected
-  difficulty-aware margin loss under the same Gaussian perturbation;
-  reduces to ``daam_softmax`` at lam = 0.
+    value = log(1 + sum_{j != y} exp(a*(u_j - u_y) + a*m*coef + lam*a^2*phi_j/2)),
 
-All operations are pure single-sample functions; a batch loss is the mean
-of independent per-sample evaluations.  Gradients are returned for the
-embedding, the raw (unnormalized) weight rows, and, on the softmax path,
-the biases.  The class covariance is treated as a constant: no gradient
-flows into the statistics bank.
+with phi_j = (w_j - w_y)^T Cov_y (w_j - w_y), the closed-form bound on the
+expected loss when f is perturbed by N(0, lam*Cov_y).  Only the logit map
+u differs:
+
+* affine (``softmax_ce``, ``isda_bound``): u = W f + b, a = 1, no margin;
+  ``softmax_ce`` is lam = 0, so it is plain cross entropy.
+* cosine (``am_softmax``, ``daam_softmax``, ``dasa_bound``,
+  ``margin_bound``): u_j = cos(w_j, f), a = s, margin m.  ``am_softmax``
+  has coef = 1 and lam = 0; ``daam_softmax`` scales the margin by a
+  per-sample difficulty coefficient (``DA`` or ``DY``) of u_y;
+  ``dasa_bound`` adds the strength lam on the config's schedule, constant
+  or itself a difficulty coefficient; ``margin_bound`` takes lam and a
+  frozen coef explicitly.
+
+``variant_loss`` picks the variant a :class:`LossConfig` names.  Every
+function evaluates one sample; a batch loss is the mean of independent
+per-sample evaluations.  Gradients are returned for the embedding, the
+raw (unnormalized) weight rows, and, on the affine map, the biases.  The
+class covariance is treated as a constant: no gradient flows into the
+statistics bank.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class LossConfig:
             raise ValueError(f"strength_mode must be one of {STRENGTH_MODES}, got {self.strength_mode!r}")
         if self.variant in ("softmax", "isda", "am") and self.difficulty != "none":
             raise ValueError(f"variant {self.variant!r} does not take a difficulty mode")
-        # strength_mode is used by the dasa variant only; others ignore it.
+        if self.variant != "dasa":
+            self.strength_mode = "constant"  # only dasa schedules a dynamic strength
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
         if not self.gamma > 0:
@@ -188,29 +195,112 @@ def _checked_embedding(embedding: np.ndarray, dim: int) -> np.ndarray:
     return f
 
 
-def softmax_ce(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
-    """Cross entropy -log softmax(W f + b)[label], max-subtraction stabilized."""
+def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(W, axis=1)
+    if np.any(norms < 1e-12):
+        raise ValueError("zero-norm weight row")
+    return W / norms[:, None], norms
+
+
+def _loss(
+    embedding: np.ndarray,
+    head: ClassifierHead,
+    label: int,
+    *,
+    cosine: bool,
+    stats: ClassStats | None = None,
+    lam: float = 0.0,
+    difficulty: str = "none",
+    gamma: float = 1.0,
+    strength_mode: str = "constant",
+    ramp: float = 0.0,
+    coef: float | None = None,
+) -> LossOutput:
+    """The one forward/backward behind every variant (see the module doc).
+
+    ``cosine`` picks the logit map: False gives u = W f + b with a = 1 and
+    no margin; True gives u = W_hat f with a = s, margin m*coef, and the
+    gradient chained back through the row normalization.  ``coef`` freezes
+    the margin coefficient (no gradient path); otherwise it follows
+    ``difficulty``.  With a dynamic ``strength_mode``, lam = ramp * coef_s.
+    """
     f = _checked_embedding(embedding, head.dim)
     if not 0 <= label < head.num_classes:
         raise ValueError(f"label {label} out of range")
-    _check_finite(f, head.weights, head.biases)
-    z = head.weights @ f
-    if head.biases is not None:
-        z = z + head.biases
-    zmax = z.max()
-    ez = np.exp(z - zmax)
-    lse = zmax + math.log(ez.sum())
-    value = lse - z[label]
-    p = ez / ez.sum()
-    g = p.copy()
-    g[label] -= 1.0
+    b = None if cosine else head.biases
+    _check_finite(f, head.weights, b)
+    if cosine:
+        fnorm = np.linalg.norm(f)
+        if fnorm < 1e-12:
+            raise ValueError("zero-norm embedding")
+        if abs(fnorm - 1.0) > 1e-3:
+            raise ValueError(f"embedding norm {fnorm:.6f}, expected unit length")
+        R, norms = _normalized_rows(head.weights)
+        a, m = head.scale, head.margin
+    else:
+        R, a, m = head.weights, 1.0, 0.0
+    u = R @ f if b is None else R @ f + b
+    uy = float(u[label])
+
+    if coef is None:
+        coef, dcoef = _coef_and_slope(difficulty, uy, gamma)
+    else:
+        coef, dcoef = float(coef), 0.0
+    dlam = 0.0
+    if strength_mode != "constant":
+        coef_s, dcoef_s = _coef_and_slope(strength_mode, uy, gamma)
+        lam, dlam = ramp * coef_s, ramp * dcoef_s
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if lam != 0.0:
+        if stats is None:
+            raise ValueError("augmentation strength > 0 requires class statistics")
+        phi, U = forms_and_product(stats, R - R[label], label)
+    else:
+        phi = np.zeros(head.num_classes)
+
+    e = a * (u - uy) + a * m * coef + 0.5 * lam * a * a * phi
+    e[label] = 0.0  # target slot carries the constant exp(0) = 1
+    emax = e.max()
+    ee = np.exp(e - emax)
+    value = emax + math.log(ee.sum())
+    q = ee / ee.sum()
+    q[label] = 0.0
+    Q = q.sum()
+
+    # d(value)/d(u_y); d(value)/d(u_j) = a*q_j for j != y
+    duy = (-a + a * m * dcoef) * Q
+    if dlam != 0.0:
+        duy += 0.5 * a * a * dlam * float(q @ phi)
+    grad_f = a * (q @ R) + duy * R[label]
+    g = (a * q)[:, None] * f[None, :]
+    if lam != 0.0:
+        g += (lam * a * a) * q[:, None] * U
+        g[label] = duy * f - (lam * a * a) * (q @ U)
+    else:
+        g[label] = duy * f
+    if cosine:
+        # chain through row normalization: w_hat = w/|w|
+        g = (g - np.sum(g * R, axis=1, keepdims=True) * R) / norms[:, None]
+        cos_y = uy
+    else:
+        cos_y = _diag_cos(R[label], f)
+    grad_b = None
+    if b is not None:
+        grad_b = q.copy()
+        grad_b[label] = duy
     return LossOutput(
         value=float(value),
-        grad_embedding=head.weights.T @ g,
-        grad_weights=np.outer(g, f),
-        grad_biases=g if head.biases is not None else None,
-        per_sample_terms={"cos_y": _diag_cos(head.weights[label], f), "coef": 1.0, "lambda": 0.0, "max_phi_term": 0.0},
+        grad_embedding=grad_f,
+        grad_weights=g,
+        grad_biases=grad_b,
+        per_sample_terms={"cos_y": cos_y, "coef": float(coef), "lambda": float(lam)},
     )
+
+
+def softmax_ce(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
+    """Cross entropy -log softmax(W f + b)[label]: the affine map at lam = 0."""
+    return _loss(embedding, head, label, cosine=False)
 
 
 def isda_bound(
@@ -221,170 +311,15 @@ def isda_bound(
     label: int,
 ) -> LossOutput:
     """Closed-form bound on the expected cross entropy under Gaussian
-    perturbation of the embedding with covariance lam*Cov_label.
-
-    Equals log sum_j exp((w_j-w_y).f + (b_j-b_y) + lam*phi_j/2) where
-    phi_j is the quadratic form of the label class covariance; the label
-    term contributes exp(0) = 1, so the value is nonnegative.  lam = 0
-    delegates to ``softmax_ce`` so the reduction is bit-exact.
-    """
-    return _isda_core(embedding, head, bank.stats[label], lam, label)
-
-
-def _isda_core(
-    embedding: np.ndarray,
-    head: ClassifierHead,
-    stats: ClassStats,
-    lam: float,
-    label: int,
-) -> LossOutput:
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam == 0.0:
-        return softmax_ce(embedding, head, label)
-    f = _checked_embedding(embedding, head.dim)
-    if not 0 <= label < head.num_classes:
-        raise ValueError(f"label {label} out of range")
-    _check_finite(f, head.weights, head.biases)
-    W = head.weights
-    z = W @ f
-    if head.biases is not None:
-        z = z + head.biases
-    phi, U = forms_and_product(stats, W - W[label], label)
-    a = (z - z[label]) + 0.5 * lam * phi
-    a[label] = 0.0
-    amax = a.max()
-    ea = np.exp(a - amax)
-    value = amax + math.log(ea.sum())
-    p = ea / ea.sum()
-
-    grad_f = W.T @ p - W[label]
-    grad_W = p[:, None] * (f[None, :] + lam * U)
-    grad_W[label] = (p[label] - 1.0) * f - lam * (p @ U)
-    grad_b = None
-    if head.biases is not None:
-        grad_b = p.copy()
-        grad_b[label] = p[label] - 1.0
-    return LossOutput(
-        value=float(value),
-        grad_embedding=grad_f,
-        grad_weights=grad_W,
-        grad_biases=grad_b,
-        per_sample_terms={
-            "cos_y": _diag_cos(W[label], f),
-            "coef": 1.0,
-            "lambda": float(lam),
-            "max_phi_term": float(0.5 * lam * phi.max()) if head.num_classes > 1 else 0.0,
-        },
-    )
-
-
-def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(W, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("zero-norm weight row")
-    return W / norms[:, None], norms
-
-
-def _margin_core(
-    embedding: np.ndarray,
-    head: ClassifierHead,
-    label: int,
-    *,
-    margin_mode: str,
-    gamma: float,
-    lam: float = 0.0,
-    strength_mode: str = "constant",
-    ramp: float = 0.0,
-    stats: ClassStats | None = None,
-    coef_override: float | None = None,
-) -> LossOutput:
-    """Shared forward/backward for the margin-loss family.
-
-    The per-class exponent is s*(cos_j - cos_y) + s*m*coef + lam*s^2*phi_j/2,
-    log-sum-exp'ed jointly with the constant 1 of the target term.  With
-    dynamic strength, lam = ramp * strength_coef(cos_y) per sample.
-    Gradients flow through the weight-row normalization, the difficulty
-    coefficient, and the quadratic forms; the covariance itself is constant.
-    """
-    f = _checked_embedding(embedding, head.dim)
-    if not 0 <= label < head.num_classes:
-        raise ValueError(f"label {label} out of range")
-    _check_finite(f, head.weights)
-    fnorm = np.linalg.norm(f)
-    if fnorm < 1e-12:
-        raise ValueError("zero-norm embedding")
-    if abs(fnorm - 1.0) > 1e-3:
-        raise ValueError(f"embedding norm {fnorm:.6f}, expected unit length")
-    What, norms = _normalized_rows(head.weights)
-    s = head.scale
-    m = head.margin
-
-    u = What @ f
-    uy = float(u[label])
-    if coef_override is None:
-        coef, dcoef = _coef_and_slope(margin_mode, uy, gamma)
-    else:
-        coef, dcoef = float(coef_override), 0.0  # frozen coefficient, no grad path
-
-    dlam_duy = 0.0
-    if strength_mode != "constant":
-        coef_s, dcoef_s = _coef_and_slope(strength_mode, uy, gamma)
-        lam = ramp * coef_s
-        dlam_duy = ramp * dcoef_s
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-
-    if lam != 0.0:
-        if stats is None:
-            raise ValueError("augmentation strength > 0 requires class statistics")
-        phi, U = forms_and_product(stats, What - What[label], label)
-    else:
-        phi = np.zeros(head.num_classes)
-
-    b = s * (u - uy) + s * m * coef + 0.5 * lam * s * s * phi
-    b[label] = 0.0  # target slot carries the constant exp(0) = 1
-    bmax = b.max()
-    eb = np.exp(b - bmax)
-    value = bmax + math.log(eb.sum())
-    q = eb / eb.sum()
-    qn = q.copy()
-    qn[label] = 0.0
-    Q = qn.sum()
-
-    duy = (-s + s * m * dcoef) * Q
-    if dlam_duy != 0.0:
-        duy += 0.5 * s * s * dlam_duy * float(qn @ phi)
-
-    grad_f = s * (qn @ What) + duy * What[label]
-
-    g_hat = (s * qn)[:, None] * f[None, :]
-    if lam != 0.0:
-        g_hat += (lam * s * s) * qn[:, None] * U
-        g_hat[label] = duy * f - (lam * s * s) * (qn @ U)
-    else:
-        g_hat[label] = duy * f
-    # chain through row normalization: w_hat = w/|w|
-    proj = g_hat - (np.sum(g_hat * What, axis=1, keepdims=True)) * What
-    grad_W = proj / norms[:, None]
-
-    max_phi_term = float(0.5 * lam * s * s * phi.max()) if lam != 0.0 else 0.0
-    return LossOutput(
-        value=float(value),
-        grad_embedding=grad_f,
-        grad_weights=grad_W,
-        grad_biases=None,
-        per_sample_terms={"cos_y": uy, "coef": float(coef), "lambda": float(lam), "max_phi_term": max_phi_term},
-    )
+    perturbation of the embedding with covariance lam*Cov_label: the
+    affine map with strength lam, so lam = 0 is ``softmax_ce`` itself."""
+    return _loss(embedding, head, label, cosine=False, stats=bank.stats[label], lam=lam)
 
 
 def am_softmax(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
-    """Additive-margin softmax on scaled cosines, no bias.
-
-    Evaluated as log(1 + sum_{j != y} exp(s*(cos_j - cos_y) + s*m)), which is
-    algebraically the negative log of the margin softmax target probability.
-    """
-    return _margin_core(embedding, head, label, margin_mode="none", gamma=1.0)
+    """Additive-margin softmax on scaled cosines, no bias: the cosine map
+    with coef = 1 and lam = 0."""
+    return _loss(embedding, head, label, cosine=True)
 
 
 def daam_softmax(
@@ -397,7 +332,7 @@ def daam_softmax(
     """Additive-margin softmax with the margin scaled by a per-sample
     difficulty coefficient of the target cosine (harder samples get a
     larger effective margin)."""
-    return _margin_core(embedding, head, label, margin_mode=difficulty, gamma=gamma)
+    return _loss(embedding, head, label, cosine=True, difficulty=difficulty, gamma=gamma)
 
 
 def dasa_bound(
@@ -411,17 +346,12 @@ def dasa_bound(
     """Closed-form bound on the expected difficulty-aware margin loss under
     Gaussian embedding perturbation with covariance lam*Cov_label, where lam
     follows the config's schedule at iteration t."""
-    stats = bank.stats[label]
-    if config.strength_mode == "constant":
-        return _margin_core(
-            embedding, head, label,
-            margin_mode=config.difficulty, gamma=config.gamma,
-            lam=lambda_schedule(t, config), stats=stats,
-        )
-    return _margin_core(
-        embedding, head, label,
-        margin_mode=config.difficulty, gamma=config.gamma,
-        strength_mode=config.strength_mode, ramp=_ramp(t, config), stats=stats,
+    constant = config.strength_mode == "constant"
+    return _loss(
+        embedding, head, label, cosine=True, stats=bank.stats[label],
+        lam=lambda_schedule(t, config) if constant else 0.0,
+        difficulty=config.difficulty, gamma=config.gamma,
+        strength_mode=config.strength_mode, ramp=_ramp(t, config),
     )
 
 
@@ -437,10 +367,28 @@ def margin_bound(
     frozen margin coefficient (1.0 gives the plain-margin bound).  Used by
     the Monte-Carlo cross checks, which evaluate the coefficient once at
     the clean embedding."""
-    return _margin_core(
-        embedding, head, label,
-        margin_mode="none", gamma=1.0, lam=lam, stats=stats, coef_override=coef,
-    )
+    return _loss(embedding, head, label, cosine=True, stats=stats, lam=lam, coef=coef)
+
+
+def variant_loss(
+    embedding: np.ndarray,
+    head: ClassifierHead,
+    bank: CovarianceBank,
+    label: int,
+    config: LossConfig,
+    t: float,
+) -> LossOutput:
+    """The loss ``config.variant`` names, at iteration t of its schedule."""
+    v = config.variant
+    if v == "softmax":
+        return softmax_ce(embedding, head, label)
+    if v == "isda":
+        return isda_bound(embedding, head, bank, lambda_schedule(t, config), label)
+    if v == "am":
+        return am_softmax(embedding, head, label)
+    if v == "daam":
+        return daam_softmax(embedding, head, label, config.difficulty, config.gamma)
+    return dasa_bound(embedding, head, bank, label, config, t)
 
 
 def finite_difference_error(value, pairs, epsilon: float) -> float:

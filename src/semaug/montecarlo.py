@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ClassStats, sampler_factor
-from .losses import ClassifierHead, _isda_core, _normalized_rows, margin_bound
+from .losses import ClassifierHead, _loss, _normalized_rows, margin_bound
 from .rng import philox_rng
 
 _CHUNK = 1 << 14
@@ -99,7 +99,7 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
     compare against the closed-form bound on the same inputs."""
     if count < 100:
         raise ValueError(f"count must be >= 100, got {count}")
-    bound = _isda_core(embedding, head, stats, lam, label).value
+    bound = _loss(embedding, head, label, cosine=False, stats=stats, lam=lam).value
     if lam == 0.0:
         # every draw is f itself, so the estimate is exact by construction
         return McReport(mean=bound, std_error=0.0, samples=count,

@@ -9,7 +9,7 @@ trial), so results are reproducible and trials are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,16 +18,10 @@ from .embedder import TinyEmbedder
 from .losses import (
     ClassifierHead,
     LossConfig,
-    am_softmax,
-    daam_softmax,
-    dasa_bound,
     difficulty_da,
-    difficulty_dy,
     finite_difference_error,
-    isda_bound,
-    lambda_schedule,
     loss_gradient_check,
-    softmax_ce,
+    variant_loss,
     _normalized_rows,
 )
 
@@ -137,19 +131,24 @@ def jensen_suite_passes(results: list[BoundTrial]) -> bool:
     return True
 
 
-def _tempered_scale(s, f, W, label, m, coef, lam_eff, stats) -> float:
+def _tempered_scale(f, head: ClassifierHead, bank, label, cfg, t) -> float:
     """Shrink the margin scale until the realized exponent spread of the
-    margin softmax fits _SPREAD_CAP. Every term in the spread scales with
-    s (the quadratic one with s**2), so the loop terminates."""
-    What, _ = _normalized_rows(W)
+    margin softmax fits _SPREAD_CAP. The coefficient and strength come
+    from the loss itself at the untempered head; neither depends on the
+    scale. Every term in the spread scales with s (the quadratic one with
+    s**2), so the loop terminates."""
+    terms = variant_loss(f, head, bank, label, cfg, t).per_sample_terms
+    coef, lam = terms["coef"], terms["lambda"]
+    What, _ = _normalized_rows(head.weights)
     rel = What @ f - float(What[label] @ f)
     rel = np.delete(rel, label)
-    if lam_eff > 0.0:
-        phi = np.delete(quadratic_forms(stats, What, label), label)
+    if lam > 0.0:
+        phi = np.delete(quadratic_forms(bank.stats[label], What, label), label)
     else:
         phi = np.zeros_like(rel)
+    s, m = head.scale, head.margin
     while s > 0.25:
-        b = s * rel + s * m * coef + 0.5 * lam_eff * s * s * phi
+        b = s * rel + s * m * coef + 0.5 * lam * s * s * phi
         spread = max(float(b.max()), 0.0) - min(float(b.min()), 0.0)
         if spread <= _SPREAD_CAP:
             break
@@ -157,7 +156,13 @@ def _tempered_scale(s, f, W, label, m, coef, lam_eff, stats) -> float:
     return s
 
 
-def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float:
+def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
+    """Inputs of one loss gradient check: (loss_fn, embedding, head).
+
+    For the margin variants the embedding is redrawn while the target
+    cosine lies within ``kink_gap`` of +-1, where the difficulty clamp
+    puts a kink that a difference stencil must not straddle.
+    """
     # Magnitudes here are deliberately tame (unit-scale rows, lambda well
     # below 1, modest scale s). Saturated softmax terms have true gradient
     # entries below what central differences can resolve against the
@@ -180,28 +185,7 @@ def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float
     bank.stats[label] = ClassStats(class_id=label, count=stats.count,
                                    mean=stats.mean, cov=stats.cov)
 
-    if variant == "softmax":
-        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
-        fn = lambda e, h: softmax_ce(e, h, label)
-        return loss_gradient_check(fn, f, head, epsilon)
-    if variant == "isda":
-        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
-        fn = lambda e, h: isda_bound(e, h, bank, lam, label)
-        return loss_gradient_check(fn, f, head, epsilon)
-
-    s = 2.0 + 2.0 * rng.random()
-    m = 0.05 + 0.25 * rng.random()
-    What, _ = _normalized_rows(W)
-    cos_y = float(What[label] @ f)
-    if variant == "am":
-        coef, lam_eff = 1.0, 0.0
-        fn = lambda e, h: am_softmax(e, h, label)
-    elif variant == "daam":
-        difficulty = ("DA", "DY")[trial % 2]
-        coef = difficulty_da(cos_y) if difficulty == "DA" else difficulty_dy(cos_y, 2.0)
-        lam_eff = 0.0
-        fn = lambda e, h: daam_softmax(e, h, label, difficulty, 2.0)
-    else:
+    if variant == "dasa":
         cfg = LossConfig(
             variant="dasa",
             difficulty=("DA", "DY", "none")[trial % 3],
@@ -209,23 +193,29 @@ def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float
             lambda0=lam, gamma=2.0,
             ramp_total_iters=10, deferred_fraction=0.3,
         )
-        t = int(rng.integers(0, 11))
-        if cfg.difficulty == "DA":
-            coef = difficulty_da(cos_y)
-        elif cfg.difficulty == "DY":
-            coef = difficulty_dy(cos_y, cfg.gamma)
-        else:
-            coef = 1.0
-        if cfg.strength_mode == "constant":
-            lam_eff = lambda_schedule(t, cfg)
-        elif cfg.strength_mode == "DA":
-            lam_eff = lambda_schedule(t, cfg, coef=difficulty_da(cos_y))
-        else:
-            lam_eff = lambda_schedule(t, cfg, coef=difficulty_dy(cos_y, cfg.gamma))
-        fn = lambda e, h: dasa_bound(e, h, bank, label, cfg, t)
-    s = _tempered_scale(s, f, W, label, m, coef, lam_eff, stats)
-    head = ClassifierHead(weights=W, biases=None, scale=s, margin=m)
-    return loss_gradient_check(fn, f, head, epsilon)
+    else:
+        # at t = T = 1 with nothing deferred the schedule is lambda0 itself
+        cfg = LossConfig(variant=variant, difficulty=("DA", "DY")[trial % 2] if variant == "daam" else "none",
+                         lambda0=lam, gamma=2.0, ramp_total_iters=1, deferred_fraction=0.0)
+    t = 1
+    if variant in ("softmax", "isda"):
+        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
+    else:
+        head = ClassifierHead(weights=W, biases=None,
+                              scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
+        if variant == "dasa":
+            t = int(rng.integers(0, 11))
+        What, _ = _normalized_rows(W)
+        while 1.0 - abs(float(What[label] @ f)) <= kink_gap:
+            f = _unit(rng, F, floor=0.1)
+        head = replace(head, scale=_tempered_scale(f, head, bank, label, cfg, t))
+    return (lambda e, h: variant_loss(e, h, bank, label, cfg, t)), f, head
+
+
+def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float:
+    # every entry is stepped by up to epsilon, which moves the target
+    # cosine by up to about epsilon; keep twice that clear of the clamp
+    return loss_gradient_check(*_gradcheck_case(variant, trial, seed, 2 * epsilon), epsilon)
 
 
 def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradTrial]:
@@ -270,36 +260,19 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         bank = CovarianceBank(C, F, FULL)
         bank.stats[label] = ClassStats(class_id=label, count=stats.count,
                                        mean=stats.mean, cov=stats.cov)
-        cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant",
+        # the schedule at t = T with nothing deferred is lambda0 itself
+        cfg = LossConfig(variant=variant, difficulty="DA" if variant in ("daam", "dasa") else "none",
                          lambda0=lam, ramp_total_iters=10, deferred_fraction=0.0)
         if variant in ("softmax", "isda"):
             head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
         else:
-            s = 2.0 + 2.0 * rng.random()
-            m = 0.05 + 0.25 * rng.random()
-            What, _ = _normalized_rows(W)
-            cos_y = float(What[label] @ f0)
-            if variant == "am":
-                coef, lam_eff = 1.0, 0.0
-            elif variant == "daam":
-                coef, lam_eff = difficulty_da(cos_y), 0.0
-            else:
-                coef = difficulty_da(cos_y)
-                lam_eff = lambda_schedule(10, cfg)
-            s = _tempered_scale(s, f0, W, label, m, coef, lam_eff, stats)
-            head = ClassifierHead(weights=W, biases=None, scale=s, margin=m)
+            head = ClassifierHead(weights=W, biases=None,
+                                  scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
+            head = replace(head, scale=_tempered_scale(f0, head, bank, label, cfg, 10))
 
         def loss_of(embedder: TinyEmbedder, hd: ClassifierHead):
             f, cache = embedder.forward(x)
-            if variant == "softmax":
-                return softmax_ce(f, hd, label), cache
-            if variant == "isda":
-                return isda_bound(f, hd, bank, lam, label), cache
-            if variant == "am":
-                return am_softmax(f, hd, label), cache
-            if variant == "daam":
-                return daam_softmax(f, hd, label, "DA", 2.0), cache
-            return dasa_bound(f, hd, bank, label, cfg, 10), cache
+            return variant_loss(f, hd, bank, label, cfg, 10), cache
 
         loss, cache = loss_of(emb, head)
         param_grads = emb.backward(cache, loss.grad_embedding)

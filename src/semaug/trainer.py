@@ -18,16 +18,7 @@ import numpy as np
 from .covariance import CovarianceBank
 from .data import Dataset, EVAL, TRAIN
 from .embedder import TinyEmbedder
-from .losses import (
-    ClassifierHead,
-    LossConfig,
-    am_softmax,
-    daam_softmax,
-    dasa_bound,
-    isda_bound,
-    lambda_schedule,
-    softmax_ce,
-)
+from .losses import ClassifierHead, LossConfig, variant_loss
 from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
 from .rng import philox_rng
 
@@ -144,20 +135,6 @@ class SgdNesterov:
             p -= lr * g
 
 
-def _loss_dispatch(variant, f, head, bank, label, cfg, t):
-    if variant == "softmax":
-        return softmax_ce(f, head, label)
-    if variant == "isda":
-        return isda_bound(f, head, bank, lambda_schedule(t, cfg), label)
-    if variant == "am":
-        return am_softmax(f, head, label)
-    if variant == "daam":
-        return daam_softmax(f, head, label, cfg.difficulty, cfg.gamma)
-    if variant == "dasa":
-        return dasa_bound(f, head, bank, label, cfg, t)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) -> TrainRun:
     X = dataset.features
     y = dataset.labels
@@ -174,8 +151,6 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     iters_per_epoch = math.ceil(n_train / B)
     total_iters = settings.epochs * iters_per_epoch
     cfg = replace(loss_config, ramp_total_iters=total_iters)
-    if cfg.variant != "dasa" and cfg.strength_mode != "constant":
-        cfg = replace(cfg, strength_mode="constant")  # ignored by these variants
 
     F = settings.embed_dim
     init_rng = philox_rng(settings.seed, 1)
@@ -229,7 +204,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                     # embedding before any loss sees them
                     if not math.isfinite(cache.prenorm) or not np.all(np.isfinite(f)):
                         raise TrainingDivergedError(t)
-                    out = _loss_dispatch(cfg.variant, f, head, bank, int(y[i]), cfg, t)
+                    out = variant_loss(f, head, bank, int(y[i]), cfg, t)
                     if not math.isfinite(out.value):
                         raise TrainingDivergedError(t)
                     per = out.per_sample_terms

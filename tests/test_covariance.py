@@ -183,18 +183,6 @@ def test_quadratic_forms_match_row_products_at_paper_shape(mode):
         np.testing.assert_array_equal(U, apply_cov(stats, W - W[label]))
 
 
-def test_quadratic_forms_bank_method_matches_function():
-    rng = philox_rng(106)
-    pts = rng.standard_normal((12, 4))
-    bank = fill_bank(pts, [0] * 12, 2, 4)
-    W = rng.standard_normal((5, 4))
-    np.testing.assert_array_equal(
-        bank.quadratic_forms(0, W), quadratic_forms(bank.stats[0], W, 0)
-    )
-    with pytest.raises(ValueError):
-        bank.quadratic_forms(7, W)
-
-
 def test_quadratic_forms_input_validation():
     st = ClassStats.empty(0, 3)
     with pytest.raises(ValueError):

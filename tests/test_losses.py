@@ -22,6 +22,7 @@ from semaug.losses import (
     loss_gradient_check,
     margin_bound,
     softmax_ce,
+    variant_loss,
     _coef_and_slope,
     _ramp,
 )
@@ -265,6 +266,17 @@ def test_dasa_matches_high_precision_oracle_across_schedules():
 # -- reduction identities -----------------------------------------------------
 
 
+def assert_identical(a, c):
+    """Value, every gradient and the per-sample terms agree bit for bit."""
+    assert a.value == c.value
+    np.testing.assert_array_equal(a.grad_embedding, c.grad_embedding)
+    np.testing.assert_array_equal(a.grad_weights, c.grad_weights)
+    assert (a.grad_biases is None) == (c.grad_biases is None)
+    if c.grad_biases is not None:
+        np.testing.assert_array_equal(a.grad_biases, c.grad_biases)
+    assert a.per_sample_terms == c.per_sample_terms
+
+
 def test_isda_at_zero_strength_is_exactly_softmax():
     rng = philox_rng(205)
     for _ in range(10):
@@ -274,12 +286,9 @@ def test_isda_at_zero_strength_is_exactly_softmax():
         f = rng.standard_normal(F)
         label = int(rng.integers(0, C))
         bank = bank_with(random_stats(rng, F), C, label)
-        a = isda_bound(f, ClassifierHead(weights=W, biases=b), bank, 0.0, label)
-        c = softmax_ce(f, ClassifierHead(weights=W, biases=b), label)
-        assert a.value == c.value
-        np.testing.assert_array_equal(a.grad_embedding, c.grad_embedding)
-        np.testing.assert_array_equal(a.grad_weights, c.grad_weights)
-        np.testing.assert_array_equal(a.grad_biases, c.grad_biases)
+        for biases in (b, None):
+            head = ClassifierHead(weights=W, biases=biases)
+            assert_identical(isda_bound(f, head, bank, 0.0, label), softmax_ce(f, head, label))
 
 
 def test_dasa_in_deferred_region_is_exactly_daam():
@@ -294,9 +303,7 @@ def test_dasa_in_deferred_region_is_exactly_daam():
                          lambda0=0.5, ramp_total_iters=10, deferred_fraction=0.4)
         a = dasa_bound(f, head, bank, label, cfg, 3)  # 0.3 < 0.4: strength off
         c = daam_softmax(f, head, label, "DA", cfg.gamma)
-        assert a.value == c.value
-        np.testing.assert_array_equal(a.grad_embedding, c.grad_embedding)
-        np.testing.assert_array_equal(a.grad_weights, c.grad_weights)
+        assert_identical(a, c)
 
 
 def test_dasa_without_difficulty_or_strength_is_exactly_am():
@@ -309,9 +316,9 @@ def test_dasa_without_difficulty_or_strength_is_exactly_am():
                      ramp_total_iters=10, deferred_fraction=1.0)
     a = dasa_bound(f, head, bank, 1, cfg, 9)  # strength deferred past this point
     c = am_softmax(f, head, 1)
-    assert a.value == c.value
-    np.testing.assert_array_equal(a.grad_embedding, c.grad_embedding)
-    np.testing.assert_array_equal(a.grad_weights, c.grad_weights)
+    assert_identical(a, c)
+    for gamma in (0.5, 2.0):
+        assert_identical(daam_softmax(f, head, 1, "none", gamma), c)
 
 
 def test_margin_bound_with_unit_coefficient_is_exactly_am():
@@ -322,8 +329,37 @@ def test_margin_bound_with_unit_coefficient_is_exactly_am():
     stats = random_stats(rng, 4)
     a = margin_bound(f, head, stats, 0, 0.0, 1.0)
     c = am_softmax(f, head, 0)
-    assert a.value == c.value
-    np.testing.assert_array_equal(a.grad_weights, c.grad_weights)
+    assert_identical(a, c)
+
+
+def test_variant_loss_is_exactly_the_named_function():
+    rng = philox_rng(215)
+    C, F, label, t = 5, 4, 3, 7
+    W = rng.standard_normal((C, F))
+    f = unit(rng, F)
+    bank = bank_with(random_stats(rng, F), C, label)
+    affine = ClassifierHead(weights=W, biases=rng.standard_normal(C))
+    cosine = ClassifierHead(weights=W, scale=6.0, margin=0.25)
+
+    def cfg(variant, difficulty="none", strength="constant"):
+        return LossConfig(variant=variant, difficulty=difficulty, strength_mode=strength,
+                          lambda0=0.3, ramp_total_iters=10, deferred_fraction=0.2)
+
+    assert_identical(variant_loss(f, affine, bank, label, cfg("softmax"), t),
+                     softmax_ce(f, affine, label))
+    isda = cfg("isda")
+    assert_identical(variant_loss(f, affine, bank, label, isda, t),
+                     isda_bound(f, affine, bank, lambda_schedule(t, isda), label))
+    assert_identical(variant_loss(f, cosine, bank, label, cfg("am"), t),
+                     am_softmax(f, cosine, label))
+    for difficulty in ("none", "DA", "DY"):
+        daam = cfg("daam", difficulty)
+        assert_identical(variant_loss(f, cosine, bank, label, daam, t),
+                         daam_softmax(f, cosine, label, difficulty, daam.gamma))
+        for strength in ("constant", "DA", "DY"):
+            dasa = cfg("dasa", difficulty, strength)
+            assert_identical(variant_loss(f, cosine, bank, label, dasa, t),
+                             dasa_bound(f, cosine, bank, label, dasa, t))
 
 
 # -- ordering and invariance --------------------------------------------------

@@ -3,6 +3,7 @@ and small smoke runs of the bound and gradient suites."""
 
 import pytest
 
+from semaug.losses import loss_gradient_check
 from semaug.montecarlo import McReport
 from semaug.suites import (
     BOUND_FAMILIES,
@@ -12,6 +13,8 @@ from semaug.suites import (
     jensen_suite,
     jensen_suite_passes,
     jensen_trial,
+    _gradcheck_case,
+    _gradcheck_scenario,
 )
 
 
@@ -85,3 +88,17 @@ def test_gradcheck_suite_is_deterministic():
     a = gradcheck_suite(1, 3e-5, seed=9)
     b = gradcheck_suite(1, 3e-5, seed=9)
     assert [r.max_rel_error for r in a] == [r.max_rel_error for r in b]
+
+
+def test_gradient_is_right_next_to_the_difficulty_clamp():
+    """Seed 39, daam trial 29 draws a target cosine 1.47e-5 below the clamp
+    at 1. The suite redraws that embedding, because its default stencil
+    (6e-5) would straddle the clamp; a 1e-5 stencil stays inside it and
+    checks the analytic gradient right there."""
+    fn, f, head = _gradcheck_case("daam", 29, 39, kink_gap=0.0)
+    assert 0.0 < 1.0 - fn(f, head).per_sample_terms["cos_y"] < 2e-5
+    assert loss_gradient_check(fn, f, head, epsilon=1e-5) < 1e-5
+
+    fn, f, head = _gradcheck_case("daam", 29, 39, kink_gap=1.2e-4)
+    assert 1.0 - abs(fn(f, head).per_sample_terms["cos_y"]) > 1.2e-4
+    assert _gradcheck_scenario("daam", 29, 39, 6e-5) < 1e-5

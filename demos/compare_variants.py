@@ -15,7 +15,7 @@ from semaug.data import generate
 from semaug.trainer import train
 
 # a reduced version of the registry defaults; still large enough for the
-# ordering to emerge, takes about half a minute
+# ordering to emerge, takes about ten seconds
 cfg = resolve(overrides={
     "data.num_classes": 12,
     "data.samples_per_class": 40,

@@ -1,7 +1,8 @@
 """Streaming per-class Gaussian statistics of embedding vectors.
 
-Each class keeps a running mean and a population (divide-by-n) covariance,
-updated one embedding at a time.  The covariance matrices drive two things:
+Each class keeps a running mean and a population (divide-by-n) covariance.
+An update folds in one embedding or a whole batch, merging each class's
+share of the batch in one step.  The covariance matrices drive two things:
 the quadratic forms that appear in the closed-form augmented losses, and the
 Cholesky factors used to draw explicitly augmented embeddings.
 """
@@ -57,28 +58,52 @@ class CovarianceBank:
         self.mode = mode
         self.stats = [ClassStats.empty(c, dim, mode) for c in range(num_classes)]
 
-    def update(self, embedding: np.ndarray, label: int) -> None:
-        """Fold one embedding into its class's running statistics.
+    def update(self, embedding: np.ndarray, label) -> None:
+        """Fold one embedding (F,) with its label, or a batch (B, F) with
+        labels (B,), into the classes' running statistics.
 
-        Mean and covariance follow the exact one-pass recurrence
-        mu' = mu + d/n',  cov' = (n*cov + (n/n')*d d^T)/n'  with d = x - mu,
-        which reproduces the two-pass population covariance at every step.
+        Each class present merges its k batch rows, with mean m and scatter
+        M2 = sum (x - m)(x - m)^T, by the pairwise update of Chan, Golub &
+        LeVeque: with d = m - mu and n' = n + k,
+            mu' = mu + d*k/n',  cov' = (n*cov + M2 + (n*k/n')*d d^T)/n'.
+        Its k = 1 case is the exact one-pass (Welford) step; either way the
+        result is the two-pass population covariance of everything seen.
         """
         x = np.asarray(embedding, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"embedding has shape {x.shape}, expected ({self.dim},)")
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} out of range [0, {self.num_classes})")
-        st = self.stats[label]
-        n = st.count
-        n1 = n + 1
-        delta = x - st.mean
-        st.mean = st.mean + delta / n1
-        if self.mode == FULL:
-            st.cov = (n * st.cov + (n / n1) * np.outer(delta, delta)) / n1
-        else:
-            st.cov = (n * st.cov + (n / n1) * delta * delta) / n1
-        st.count = n1
+        labels = np.asarray(label)
+        if x.ndim == 1:
+            x, labels = x[None, :], labels.reshape(-1)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"embedding has shape {np.shape(embedding)}, expected ({self.dim},) or (B, {self.dim})")
+        if labels.shape != x.shape[:1] or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels have shape {labels.shape} and dtype {labels.dtype}, "
+                             f"expected integers of shape {x.shape[:1]}")
+        bad = (labels < 0) | (labels >= self.num_classes)
+        if bad.any():
+            raise ValueError(f"label {labels[bad][0]} out of range [0, {self.num_classes})")
+        # the classes present, their batch counts k, running counts n and
+        # batch means m, with the rows of each class contiguous in batch order
+        order = np.argsort(labels, kind="stable")
+        k = np.bincount(labels, minlength=self.num_classes)
+        classes = np.flatnonzero(k)
+        k = k[classes]
+        starts = np.cumsum(k) - k
+        x = x[order]
+        m = np.add.reduceat(x, starts, axis=0) / k[:, None]
+        stats = [self.stats[c] for c in classes.tolist()]
+        n = np.array([st.count for st in stats])
+        delta = m - np.array([st.mean for st in stats])
+        full = self.mode == FULL
+        for st, d, mi, s, ki, ni in zip(stats, delta, m, starts.tolist(), k.tolist(), n.tolist()):
+            n1 = ni + ki
+            w = ni * ki / n1
+            spread = w * (d[:, None] * d) if full else w * d * d
+            if ki > 1:
+                r = x[s:s + ki] - mi
+                spread += r.T @ r if full else (r * r).sum(axis=0)
+            st.mean = st.mean + d * ki / n1
+            st.cov = (ni * st.cov + spread) / n1
+            st.count = n1
 
 
 def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Hidden layers use the rectifier max(a, 0); the final linear output is
 L2-normalized onto the unit sphere.  Gradients flow through the
-normalization via its exact Jacobian.  An all-zero pre-normalization
-output (possible when every rectifier unit is off) is replaced by the
-first basis vector and counted in ``fallback_count``; its local gradient
-is zero.
+normalization via its exact Jacobian.  ``forward`` takes one input row or
+a (B, d_in) batch and ``backward`` sums the parameter gradients over the
+batch's rows.  A row whose pre-normalization output is all zero (possible
+when every rectifier unit is off) is replaced by the first basis vector
+and counted in ``fallback_count``; its local gradient is zero.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ _TINY = 1e-12
 
 @dataclass
 class ForwardCache:
+    """What ``backward`` needs from ``forward``: per-row arrays for a batch,
+    one row's arrays (and a float prenorm, a bool fallback) for one input."""
+
     x: np.ndarray
     pre: list            # preactivations of hidden layers
     hidden: list         # rectified hidden outputs
     v: np.ndarray        # final linear output, before normalization
-    prenorm: float
+    prenorm: float | np.ndarray
     f: np.ndarray
-    fallback: bool
+    fallback: bool | np.ndarray
 
 
 class TinyEmbedder:
@@ -70,46 +74,50 @@ class TinyEmbedder:
         return out
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
+        """Unit-norm embeddings of one input row (d_in,) or of a batch
+        (B, d_in), with the cache ``backward`` needs."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim_in,):
-            raise ValueError(f"input has shape {x.shape}, expected ({self.dim_in},)")
-        if not np.all(np.isfinite(x)):
+        single = x.ndim == 1
+        h = x[None, :] if single else x
+        if h.ndim != 2 or h.shape[1] != self.dim_in:
+            raise ValueError(f"input has shape {x.shape}, expected ({self.dim_in},) or (B, {self.dim_in})")
+        if not np.isfinite(h).all():
             raise ValueError("non-finite input")
-        h = x
         pre, hidden = [], []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = W @ h + b
+            a = h @ W.T + b
             h = np.maximum(a, 0.0)
             pre.append(a)
             hidden.append(h)
-        v = self.weights[-1] @ h + self.biases[-1]
-        n = float(np.linalg.norm(v))
-        if n < _TINY:
-            self.fallback_count += 1
-            f = np.zeros(self.dim_out)
-            f[0] = 1.0
-            cache = ForwardCache(x=x, pre=pre, hidden=hidden, v=v, prenorm=n, f=f, fallback=True)
-        else:
-            f = v / n
-            cache = ForwardCache(x=x, pre=pre, hidden=hidden, v=v, prenorm=n, f=f, fallback=False)
-        return f, cache
+        v = h @ self.weights[-1].T + self.biases[-1]
+        n = np.sqrt(np.vecdot(v, v))  # per row the same BLAS dot as np.linalg.norm
+        dead = n < _TINY
+        self.fallback_count += int(np.count_nonzero(dead))
+        f = v / np.where(dead, 1.0, n)[:, None]
+        f[dead] = np.eye(1, self.dim_out)[0]
+        if single:
+            return f[0], ForwardCache(x=x, pre=[a[0] for a in pre], hidden=[h[0] for h in hidden],
+                                      v=v[0], prenorm=float(n[0]), f=f[0], fallback=bool(dead[0]))
+        return f, ForwardCache(x=x, pre=pre, hidden=hidden, v=v, prenorm=n, f=f, fallback=dead)
 
     def backward(self, cache: ForwardCache, grad_f) -> list[tuple[np.ndarray, np.ndarray]]:
         """Parameter gradients for an upstream dL/df, one (dW, db) pair per
-        layer in forward order."""
+        layer in forward order, summed over the rows of a batch."""
         if cache is None:
             raise ValueError("backward needs the ForwardCache from forward")
         g = np.asarray(grad_f, dtype=float)
-        if g.shape != (self.dim_out,):
-            raise ValueError(f"grad has shape {g.shape}, expected ({self.dim_out},)")
-        if cache.fallback:
-            delta = np.zeros(self.dim_out)  # output locally constant
-        else:
-            delta = (g - (g @ cache.f) * cache.f) / cache.prenorm
+        if g.shape != cache.f.shape:
+            raise ValueError(f"grad has shape {g.shape}, expected {cache.f.shape}")
+        rows = np.atleast_2d  # a single row's cache is a batch of one
+        g, f, x = rows(g), rows(cache.f), rows(cache.x)
+        hidden, pre = [rows(h) for h in cache.hidden], [rows(a) for a in cache.pre]
+        # a fallback row's output is locally constant: dividing by inf zeroes it
+        prenorm = np.where(cache.fallback, np.inf, cache.prenorm)
+        delta = (g - np.vecdot(g, f)[:, None] * f) / np.reshape(prenorm, (-1, 1))
         grads = [None] * len(self.weights)
-        inputs = [cache.x] + cache.hidden
+        inputs = [x] + hidden
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads[layer] = (np.outer(delta, inputs[layer]), delta.copy())
+            grads[layer] = (delta.T @ inputs[layer], delta.sum(axis=0))
             if layer > 0:
-                delta = (self.weights[layer].T @ delta) * (cache.pre[layer - 1] > 0.0)
+                delta = (delta @ self.weights[layer]) * (pre[layer - 1] > 0.0)
         return grads

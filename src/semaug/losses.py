@@ -19,16 +19,20 @@ u differs:
   frozen coef explicitly.
 
 ``variant_loss`` picks the variant a :class:`LossConfig` names.  Every
-function evaluates one sample; a batch loss is the mean of independent
-per-sample evaluations.  Gradients are returned for the embedding, the
-raw (unnormalized) weight rows, and, on the affine map, the biases.  The
-class covariance is treated as a constant: no gradient flows into the
-statistics bank.
+function takes one embedding (F,) with an int label, or a batch (B, F)
+with labels (B,).  A batch returns per-row values, embedding gradients and
+``per_sample_terms`` of shape (B,), and the weight (and bias) gradients of
+the summed loss; one embedding is a batch of one and returns floats and
+(F,) gradients.  Gradients are returned for the embedding, the raw
+(unnormalized) weight rows, and, on the affine map, the biases.  The class
+covariance is treated as a constant: no gradient flows into the statistics
+bank.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +120,10 @@ class LossConfig:
 
 @dataclass
 class LossOutput:
-    value: float
+    """Per-row value (a float for one embedding), gradients w.r.t. the
+    embedding rows, and gradients of the summed value w.r.t. the head."""
+
+    value: float | np.ndarray
     grad_embedding: np.ndarray
     grad_weights: np.ndarray
     grad_biases: np.ndarray | None = None
@@ -137,16 +144,23 @@ def difficulty_dy(cos_y: float, gamma: float) -> float:
     return math.exp(1.0 - c) / gamma
 
 
-def _coef_and_slope(mode: str, cos_y: float, gamma: float) -> tuple[float, float]:
-    """Difficulty coefficient and its derivative w.r.t. cos_y (0 when clamped)."""
-    inside = -1.0 <= cos_y <= 1.0
+def _coef_and_slope(mode: str, cos_y, gamma: float):
+    """Difficulty coefficients and their derivatives w.r.t. cos_y (0 where
+    clamped), elementwise over the target cosines; ``none`` gives the
+    floats 1 and 0 for every row."""
     if mode == "none":
         return 1.0, 0.0
+    c = np.asarray(cos_y, dtype=float)
+    clamped = np.minimum(np.maximum(c, -1.0), 1.0)
+    inside = clamped == c
     if mode == "DA":
-        return difficulty_da(cos_y), -0.5 if inside else 0.0
+        return (1.0 - clamped) / 2.0, np.where(inside, -0.5, 0.0)
     if mode == "DY":
-        v = difficulty_dy(cos_y, gamma)
-        return v, -v if inside else 0.0
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        # math.exp, as in difficulty_dy; np.exp can differ from it in the last bit
+        v = np.array([math.exp(1.0 - x) for x in clamped.ravel().tolist()]).reshape(c.shape) / gamma
+        return v, np.where(inside, -v, 0.0)
     raise ValueError(f"unknown difficulty mode {mode!r}")
 
 
@@ -176,39 +190,92 @@ def lambda_schedule(t: float, config: LossConfig, coef: float | None = None) -> 
     return r * coef
 
 
-def _diag_cos(w_y: np.ndarray, f: np.ndarray) -> float:
-    """Cosine between a weight row and the embedding, for diagnostics only."""
-    denom = np.linalg.norm(w_y) * np.linalg.norm(f)
-    return float(w_y @ f / denom) if denom > 0 else 0.0
+def _diag_cos(w_y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Cosine between each target weight row and its embedding as a (B, 1)
+    column, for diagnostics only (0 where either is zero).  ``np.vecdot``
+    takes the same BLAS dot per row as ``w_y[i] @ f[i]``."""
+    denom = np.sqrt(np.vecdot(w_y, w_y)) * np.sqrt(np.vecdot(f, f))
+    return (np.vecdot(w_y, f) / np.where(denom > 0, denom, np.inf))[:, None]
 
 
 def _check_finite(*arrays) -> None:
     for a in arrays:
-        if a is not None and not np.all(np.isfinite(a)):
+        if a is not None and not np.isfinite(a).all():
             raise ValueError("non-finite values in loss inputs")
 
 
-def _checked_embedding(embedding: np.ndarray, dim: int) -> np.ndarray:
+def _checked_batch(embedding, label, head: ClassifierHead) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings as (B, F) and labels as (B,); a 1-D embedding with a
+    scalar label is a batch of one."""
     f = np.asarray(embedding, dtype=float)
-    if f.shape != (dim,):
-        raise ValueError(f"embedding has shape {f.shape}, expected ({dim},)")
-    return f
+    C, F = head.weights.shape
+    if f.ndim == 1:
+        if f.shape != (F,):
+            raise ValueError(f"embedding has shape {f.shape}, expected ({F},)")
+        if not 0 <= operator.index(label) < C:
+            raise ValueError(f"label {label} out of range")
+        return f[None, :], np.array([label])
+    labels = np.asarray(label)
+    if f.ndim != 2 or f.shape[1] != F:
+        raise ValueError(f"embedding has shape {f.shape}, expected ({F},) or (B, {F})")
+    if labels.shape != f.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels have shape {labels.shape} and dtype {labels.dtype}, "
+                         f"expected integers of shape {f.shape[:1]}")
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    bad = (labels < 0) | (labels >= C)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range")
+    return f, labels
 
 
 def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(W, axis=1)
-    if np.any(norms < 1e-12):
+    norms = np.sqrt((W * W).sum(axis=1))
+    if (norms < 1e-12).any():
         raise ValueError("zero-norm weight row")
     return W / norms[:, None], norms
+
+
+def _groups(labels: np.ndarray, aug) -> list:
+    """(rows, label) for each distinct label among the rows with lam != 0.
+    ``aug`` marks those rows, or is one bool for every row.  When one label
+    covers every row its rows are a slice, so a batch of one indexes
+    nothing."""
+    if not isinstance(aug, np.ndarray):
+        if not aug:
+            return []
+        if labels.size == 1 or (labels == labels[0]).all():
+            return [(slice(None), int(labels[0]))]
+        aug = np.ones(labels.size, dtype=bool)
+    idx = np.flatnonzero(aug)
+    idx = idx[np.argsort(labels[idx], kind="stable")]
+    ys, starts = np.unique(labels[idx], return_index=True)
+    ends = starts.tolist()[1:] + [idx.size]
+    return [(idx[s:e], y) for y, s, e in zip(ys.tolist(), starts.tolist(), ends)]
+
+
+def _softmax_parts(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row maxima, row sums of exp(e - max) and the softmax of each row."""
+    emax = e.max(axis=1, keepdims=True)
+    ee = np.exp(e - emax)
+    total = ee.sum(axis=1, keepdims=True)
+    return emax, total, ee / total
+
+
+def _add_cov_term(g: np.ndarray, q: np.ndarray, w, U: np.ndarray, y: int) -> None:
+    """Add the covariance term of the weight gradient of rows of label y,
+    given their softmax q, w = lam*a^2 and U = D Cov_y (whose row y is 0)."""
+    g += (w * q).sum(axis=0)[:, None] * U
+    g[y] -= (w * (q @ U)).sum(axis=0)
 
 
 def _loss(
     embedding: np.ndarray,
     head: ClassifierHead,
-    label: int,
+    label,
     *,
     cosine: bool,
-    stats: ClassStats | None = None,
+    stats=None,
     lam: float = 0.0,
     difficulty: str = "none",
     gamma: float = 1.0,
@@ -223,79 +290,96 @@ def _loss(
     gradient chained back through the row normalization.  ``coef`` freezes
     the margin coefficient (no gradient path); otherwise it follows
     ``difficulty``.  With a dynamic ``strength_mode``, lam = ramp * coef_s.
+    ``stats`` is one ClassStats for every label, or a sequence whose entry
+    y holds class y's; it is read only for the labels of rows with lam != 0.
+
+    Every row is evaluated at once, except for the augmentation term: per
+    distinct label y among the rows with lam != 0, the covariance product
+    U = D Cov_y is formed once, gives those rows' quadratic forms and its
+    share of the weight gradient, and is dropped, so one U is alive at a
+    time.
     """
-    f = _checked_embedding(embedding, head.dim)
-    if not 0 <= label < head.num_classes:
-        raise ValueError(f"label {label} out of range")
+    f, labels = _checked_batch(embedding, label, head)
     b = None if cosine else head.biases
     _check_finite(f, head.weights, b)
     if cosine:
-        fnorm = np.linalg.norm(f)
-        if fnorm < 1e-12:
-            raise ValueError("zero-norm embedding")
-        if abs(fnorm - 1.0) > 1e-3:
-            raise ValueError(f"embedding norm {fnorm:.6f}, expected unit length")
+        fnorm = np.sqrt(np.vecdot(f, f))
+        off = np.abs(fnorm - 1.0) > 1e-3
+        if off.any():
+            if (fnorm < 1e-12).any():
+                raise ValueError("zero-norm embedding")
+            raise ValueError(f"embedding norm {fnorm[off][0]:.6f}, expected unit length")
         R, norms = _normalized_rows(head.weights)
         a, m = head.scale, head.margin
     else:
         R, a, m = head.weights, 1.0, 0.0
-    u = R @ f if b is None else R @ f + b
-    uy = float(u[label])
+    B, C = f.shape[0], R.shape[0]
+    u = f @ R.T if b is None else f @ R.T + b
+    target = np.arange(0, B * C, C) + labels  # flat index of (i, labels[i]) in a (B, C) array
+    uy = u.take(target)[:, None]
 
+    # per-row coefficients and strengths: (B, 1) columns, or one float for every row
     if coef is None:
         coef, dcoef = _coef_and_slope(difficulty, uy, gamma)
     else:
         coef, dcoef = float(coef), 0.0
-    dlam = 0.0
+    dlam = None
     if strength_mode != "constant":
         coef_s, dcoef_s = _coef_and_slope(strength_mode, uy, gamma)
         lam, dlam = ramp * coef_s, ramp * dcoef_s
-    if lam < 0:
+    elif lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam != 0.0:
+    else:
+        lam = float(lam)
+    if B == 1:  # a batch of one carries them as floats
+        coef, dcoef, lam, dlam = [x.item() if isinstance(x, np.ndarray) else x
+                                  for x in (coef, dcoef, lam, dlam)]
+
+    e = a * (u - uy) + a * m * coef
+    e.put(target, 0.0)  # target slot carries the constant exp(0) = 1; phi is 0 there
+    g = np.zeros(R.shape)  # d(sum of values)/d(R)
+    phi_rows = None if dlam is None else np.zeros(e.shape)  # each row's phi, for d(lam)/d(u_y)
+    every_row = None  # a group of every row waits for the softmax of the whole batch
+    for rows, y in _groups(labels, lam.ravel() != 0.0 if isinstance(lam, np.ndarray) else lam != 0.0):
         if stats is None:
             raise ValueError("augmentation strength > 0 requires class statistics")
-        phi, U = forms_and_product(stats, R - R[label], label)
-    else:
-        phi = np.zeros(head.num_classes)
+        phi, U = forms_and_product(stats if isinstance(stats, ClassStats) else stats[y], R - R[y], y)
+        lam_y = lam[rows] if isinstance(lam, np.ndarray) else lam
+        e[rows] += 0.5 * lam_y * a * a * phi
+        if phi_rows is not None:
+            phi_rows[rows] = phi
+        if isinstance(rows, slice):
+            every_row = (y, lam_y, U)
+            continue
+        # e[rows] is final, so this softmax is those rows' q below; its target
+        # slot needs no zeroing because row y of U is 0
+        _add_cov_term(g, _softmax_parts(e[rows])[2], lam_y * a * a, U, y)
 
-    e = a * (u - uy) + a * m * coef + 0.5 * lam * a * a * phi
-    e[label] = 0.0  # target slot carries the constant exp(0) = 1
-    emax = e.max()
-    ee = np.exp(e - emax)
-    value = emax + math.log(ee.sum())
-    q = ee / ee.sum()
-    q[label] = 0.0
-    Q = q.sum()
-
+    emax, total, q = _softmax_parts(e)
+    value = emax[:, 0] + np.array([math.log(t) for t in total[:, 0].tolist()])
+    q.put(target, 0.0)
     # d(value)/d(u_y); d(value)/d(u_j) = a*q_j for j != y
-    duy = (-a + a * m * dcoef) * Q
-    if dlam != 0.0:
-        duy += 0.5 * a * a * dlam * float(q @ phi)
-    grad_f = a * (q @ R) + duy * R[label]
-    g = (a * q)[:, None] * f[None, :]
-    if lam != 0.0:
-        g += (lam * a * a) * q[:, None] * U
-        g[label] = duy * f - (lam * a * a) * (q @ U)
-    else:
-        g[label] = duy * f
+    duy = (-a + a * m * dcoef) * q.sum(axis=1, keepdims=True)
+    if phi_rows is not None:
+        duy += 0.5 * a * a * dlam * np.vecdot(q, phi_rows)[:, None]
+    grad_f = a * (q @ R) + duy * R.take(labels, axis=0)
+    p = a * q  # d(value)/d(u), so p.T @ f is the rest of d(sum of values)/d(R)
+    p.put(target, duy)
+    g += p.T @ f
+    grad_b = None if b is None else p.sum(axis=0)
+    if every_row is not None:
+        y, lam_y, U = every_row
+        _add_cov_term(g, q, lam_y * a * a, U, y)
     if cosine:
         # chain through row normalization: w_hat = w/|w|
-        g = (g - np.sum(g * R, axis=1, keepdims=True) * R) / norms[:, None]
-        cos_y = uy
-    else:
-        cos_y = _diag_cos(R[label], f)
-    grad_b = None
-    if b is not None:
-        grad_b = q.copy()
-        grad_b[label] = duy
-    return LossOutput(
-        value=float(value),
-        grad_embedding=grad_f,
-        grad_weights=g,
-        grad_biases=grad_b,
-        per_sample_terms={"cos_y": cos_y, "coef": float(coef), "lambda": float(lam)},
-    )
+        g = (g - (g * R).sum(axis=1, keepdims=True) * R) / norms[:, None]
+    cos_y = uy if cosine else _diag_cos(R.take(labels, axis=0), f)
+    if np.ndim(embedding) == 1:
+        return LossOutput(value=float(value[0]), grad_embedding=grad_f[0], grad_weights=g, grad_biases=grad_b,
+                          per_sample_terms={"cos_y": cos_y.item(), "coef": coef, "lambda": lam})
+    terms = {"cos_y": cos_y, "coef": coef, "lambda": lam}
+    return LossOutput(value=value, grad_embedding=grad_f, grad_weights=g, grad_biases=grad_b,
+                      per_sample_terms={k: np.broadcast_to(v, (B, 1))[:, 0].copy() for k, v in terms.items()})
 
 
 def softmax_ce(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
@@ -313,7 +397,7 @@ def isda_bound(
     """Closed-form bound on the expected cross entropy under Gaussian
     perturbation of the embedding with covariance lam*Cov_label: the
     affine map with strength lam, so lam = 0 is ``softmax_ce`` itself."""
-    return _loss(embedding, head, label, cosine=False, stats=bank.stats[label], lam=lam)
+    return _loss(embedding, head, label, cosine=False, stats=bank.stats, lam=lam)
 
 
 def am_softmax(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
@@ -348,7 +432,7 @@ def dasa_bound(
     follows the config's schedule at iteration t."""
     constant = config.strength_mode == "constant"
     return _loss(
-        embedding, head, label, cosine=True, stats=bank.stats[label],
+        embedding, head, label, cosine=True, stats=bank.stats,
         lam=lambda_schedule(t, config) if constant else 0.0,
         difficulty=config.difficulty, gamma=config.gamma,
         strength_mode=config.strength_mode, ramp=_ramp(t, config),
@@ -378,7 +462,8 @@ def variant_loss(
     config: LossConfig,
     t: float,
 ) -> LossOutput:
-    """The loss ``config.variant`` names, at iteration t of its schedule."""
+    """The loss ``config.variant`` names, at iteration t of its schedule,
+    for one embedding or a batch (see the module doc)."""
     v = config.variant
     if v == "softmax":
         return softmax_ce(embedding, head, label)
@@ -437,10 +522,10 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     W0 = head.weights.copy()
     b0 = None if head.biases is None else head.biases.copy()
     out = loss_fn(f0, head)
+    h = ClassifierHead(weights=W0, biases=b0, scale=head.scale, margin=head.margin)
 
     def value() -> float:
-        h = ClassifierHead(weights=W0, biases=b0, scale=head.scale, margin=head.margin)
-        return loss_fn(f0, h).value
+        return loss_fn(f0, h).value  # h holds W0 and b0 themselves, perturbed in place
 
     pairs = [(f0, out.grad_embedding), (W0, out.grad_weights)]
     if out.grad_biases is not None:

@@ -18,7 +18,7 @@ from .embedder import TinyEmbedder
 from .losses import (
     ClassifierHead,
     LossConfig,
-    difficulty_da,
+    daam_softmax,
     finite_difference_error,
     loss_gradient_check,
     variant_loss,
@@ -105,11 +105,8 @@ def jensen_trial(family: str, trial: int, count: int, seed) -> BoundTrial:
         head = ClassifierHead(weights=W, biases=None,
                               scale=2.0 + 10.0 * rng.random(),
                               margin=0.05 + 0.35 * rng.random())
-        if family == "margin":
-            coef = 1.0
-        else:
-            What, _ = _normalized_rows(head.weights)
-            coef = difficulty_da(float(What[label] @ f))
+        # margin_da freezes the DA difficulty coefficient of the clean embedding
+        coef = 1.0 if family == "margin" else daam_softmax(f, head, label, "DA").per_sample_terms["coef"]
         report = mc_expected_margin(f, head, stats, lam, label, coef, count, mc_key)
     return BoundTrial(trial=trial, family=family, lam=lam, report=report)
 

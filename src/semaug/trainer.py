@@ -1,10 +1,12 @@
 """End-to-end training of the embedding network under any loss variant.
 
-The reference path is single-threaded and fully deterministic for a given
-seed: parameter init, per-epoch shuffling, and trial building each use
-their own counter-based RNG stream.  Per batch, every sample's loss and
-gradients are computed against the covariance bank as of the batch start;
-the bank then absorbs the batch's embeddings, and the optimizer steps.
+Training is single-threaded and fully deterministic for a given seed:
+parameter init, per-epoch shuffling, and trial building each use their
+own counter-based RNG stream.  Each batch makes one embedder forward, one
+loss call over the batch's rows, computed against the covariance bank as
+of the batch start, and one backward; the bank then merges the batch's
+embeddings and the optimizer steps on the batch-mean gradient.  The
+per-epoch evaluation embeds every eval row in one forward.
 """
 
 from __future__ import annotations
@@ -191,60 +193,45 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
         for epoch in range(settings.epochs):
             order = shuffle_rng.permutation(train_idx)
             ep_loss = ep_cos = ep_coef = ep_lam = 0.0
-            ep_count = 0
             for start in range(0, n_train, B):
                 batch = order[start:start + B]
-                head_gw = np.zeros_like(head.weights)
-                head_gb = np.zeros_like(head.biases) if head.biases is not None else None
-                emb_grads = [np.zeros_like(p) for p in embedder.parameters()]
-                batch_embs = []
-                for i in batch:
-                    f, cache = embedder.forward(X[i])
-                    # blown-up parameters surface here as a non-finite
-                    # embedding before any loss sees them
-                    if not math.isfinite(cache.prenorm) or not np.all(np.isfinite(f)):
-                        raise TrainingDivergedError(t)
-                    out = variant_loss(f, head, bank, int(y[i]), cfg, t)
-                    if not math.isfinite(out.value):
-                        raise TrainingDivergedError(t)
-                    per = out.per_sample_terms
-                    ep_loss += out.value
-                    ep_cos += per["cos_y"]
-                    ep_coef += per["coef"]
-                    ep_lam += per["lambda"]
-                    ep_count += 1
-                    if diag is not None:
-                        diag.writerow([t, int(i),
-                                       format(per["cos_y"], ".17g"),
-                                       format(per["coef"], ".17g"),
-                                       format(per["lambda"], ".17g"),
-                                       format(out.value, ".17g")])
-                    head_gw += out.grad_weights
-                    if head_gb is not None:
-                        head_gb += out.grad_biases
-                    for k, (gw, gb) in enumerate(embedder.backward(cache, out.grad_embedding)):
-                        emb_grads[2 * k] += gw
-                        emb_grads[2 * k + 1] += gb
-                    batch_embs.append((f, int(y[i])))
+                labels = y[batch]
+                f, cache = embedder.forward(X[batch])
+                # blown-up parameters surface here as a non-finite
+                # embedding before any loss sees them
+                if not (np.isfinite(cache.prenorm).all() and np.isfinite(f).all()):
+                    raise TrainingDivergedError(t)
+                out = variant_loss(f, head, bank, labels, cfg, t)
+                if not np.isfinite(out.value).all():
+                    raise TrainingDivergedError(t)
+                per = out.per_sample_terms
+                ep_loss += float(out.value.sum())
+                ep_cos += float(per["cos_y"].sum())
+                ep_coef += float(per["coef"].sum())
+                ep_lam += float(per["lambda"].sum())
+                if diag is not None:
+                    diag.writerows([t, i] + [format(v, ".17g") for v in row] for i, *row in
+                                   zip(batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
+                                       per["lambda"].tolist(), out.value.tolist()))
+                grads = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
+                grads.append(out.grad_weights)
+                if head.biases is not None:
+                    grads.append(out.grad_biases)
                 if stats_allowed(t):
-                    for f, label in batch_embs:
-                        bank.update(f, label)
+                    bank.update(f, labels)
                 inv = 1.0 / len(batch)
-                grads = [g * inv for g in emb_grads] + [head_gw * inv]
-                if head_gb is not None:
-                    grads.append(head_gb * inv)
-                opt.step(grads, t)
+                opt.step([g * inv for g in grads], t)
                 t += 1
 
-            eval_embs = np.array([embedder.forward(X[i])[0] for i in eval_idx])
+            eval_embs = embedder.forward(X[eval_idx])[0]
             scores = score_trials(eval_embs, trials)
             eer, _ = compute_eer(scores)
             mdcf = compute_min_dcf(scores, settings.dcf)
             row = MetricsRow(epoch=epoch,
-                             loss=ep_loss / ep_count,
-                             mean_cos_y=ep_cos / ep_count,
-                             mean_coef=ep_coef / ep_count,
-                             lam=ep_lam / ep_count,
+                             loss=ep_loss / n_train,
+                             mean_cos_y=ep_cos / n_train,
+                             mean_coef=ep_coef / n_train,
+                             lam=ep_lam / n_train,
                              eer=eer, min_dcf=mdcf)
             for v in (row.loss, row.mean_cos_y, row.mean_coef, row.lam, row.eer, row.min_dcf):
                 if not math.isfinite(v):

@@ -54,6 +54,14 @@ def test_streaming_matches_two_pass_over_random_streams():
         assert st.count == n
         np.testing.assert_allclose(st.mean, mean, rtol=0, atol=1e-10)
         assert rel_frobenius(st.cov, cov) <= 1e-8
+        # the same stream folded in as batches of random sizes
+        chunked = CovarianceBank(1, dim)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        for part in np.split(pts, cuts):
+            chunked.update(part, np.zeros(len(part), dtype=int))
+        assert chunked.stats[0].count == n
+        np.testing.assert_allclose(chunked.stats[0].mean, mean, rtol=0, atol=1e-10)
+        assert rel_frobenius(chunked.stats[0].cov, cov) <= 1e-8
 
 
 def test_permuted_replay_reproduces_the_same_statistics():
@@ -116,6 +124,36 @@ def test_update_rejects_bad_shapes_and_labels():
         bank.update(np.zeros(3), 2)
     with pytest.raises(ValueError):
         bank.update(np.zeros(3), -1)
+    with pytest.raises(ValueError, match="labels"):
+        bank.update(np.zeros((3, 3)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="label 2 out of range"):
+        bank.update(np.zeros((3, 3)), np.array([0, 2, 1]))
+    assert all(st.count == 0 for st in bank.stats)  # a rejected batch changes nothing
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_batch_update_matches_the_stream(mode):
+    rng = philox_rng(105)
+    pts = rng.standard_normal((60, 4)) * np.array([0.5, 1.0, 2.0, 0.3])
+    labels = rng.integers(0, 5, size=60)
+    labels[:10] = 0  # class 0 is seen before the batches, classes 1-4 first inside one
+    stream = fill_bank(pts, labels, 6, 4, mode)
+    batched = fill_bank(pts[:10], labels[:10], 6, 4, mode)
+    for start in range(10, 60, 13):
+        batched.update(pts[start:start + 13], labels[start:start + 13])
+    for a, b in zip(batched.stats, stream.stats):
+        assert a.count == b.count
+        np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-12)
+        assert rel_frobenius(a.cov, b.cov) <= 1e-12 if b.count else np.all(a.cov == 0.0)
+    assert batched.stats[5].count == 0  # a class never seen keeps its empty statistics
+
+    # a batch of one is the single-embedding update itself
+    one, single = fill_bank(pts[:7], labels[:7], 6, 4, mode), fill_bank(pts[:7], labels[:7], 6, 4, mode)
+    for x, c in zip(pts[7:20], labels[7:20]):
+        one.update(x[None, :], np.array([c]))
+        single.update(x, int(c))
+        for a, b in zip(one.stats, single.stats):
+            assert a.count == b.count and np.all(a.mean == b.mean) and np.all(a.cov == b.cov)
 
 
 def test_bank_constructor_validation():

@@ -9,9 +9,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# compare_variants trains every variant over several seeds (about a minute)
-# and runs as its own CI step instead.
-DEMOS = ["bound_vs_montecarlo", "difficulty_and_schedule", "streaming_covariance", "train_and_score"]
+DEMOS = ["bound_vs_montecarlo", "compare_variants", "difficulty_and_schedule", "streaming_covariance",
+         "train_and_score"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

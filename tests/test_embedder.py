@@ -120,6 +120,43 @@ def test_all_dead_fallback_is_counted_and_locally_flat():
     net.forward(np.array([0.5, 0.5]))
     assert net.fallback_count == 2
 
+    # a batch mixing dead rows and a live one counts each dead row and takes
+    # its gradient from the live row alone
+    net = TinyEmbedder([2, 3, 4])
+    net.weights[0][:] = 1.0  # every hidden unit is off for inputs with a negative sum
+    net.weights[1][:] = philox_rng(409).standard_normal((4, 3))
+    X = np.array([[-1.0, -2.0], [0.5, 1.0], [-3.0, 0.5]])
+    F, cache = net.forward(X)
+    assert net.fallback_count == 2
+    assert cache.fallback.tolist() == [True, False, True]
+    np.testing.assert_array_equal(F[[0, 2]], [[1.0, 0.0, 0.0, 0.0]] * 2)
+    live_f, live_cache = net.forward(X[1])
+    np.testing.assert_allclose(F[1], live_f, rtol=1e-12, atol=0)
+    upstream = philox_rng(410).standard_normal((3, 4))
+    for (gW, gb), (lW, lb) in zip(net.backward(cache, upstream), net.backward(live_cache, upstream[1])):
+        np.testing.assert_allclose(gW, lW, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gb, lb, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_forward_and_backward_match_rows():
+    net = make_net([5, 7, 6, 3], seed=9)
+    rng = philox_rng(408)
+    net.biases[0][:] = 0.1 * rng.standard_normal(7)
+    X = rng.standard_normal((9, 5))
+    upstream = rng.standard_normal((9, 3))
+    F, cache = net.forward(X)
+    assert F.shape == (9, 3) and cache.prenorm.shape == (9,) and cache.fallback.shape == (9,)
+    rows = [net.forward(x) for x in X]
+    np.testing.assert_allclose(F, [f for f, _ in rows], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.prenorm, [c.prenorm for _, c in rows], rtol=1e-12, atol=0)
+    per_row = [net.backward(c, g) for (_, c), g in zip(rows, upstream)]
+    summed = [(sum(r[0] for r in layer), sum(r[1] for r in layer)) for layer in zip(*per_row)]
+    for (gW, gb), (sW, sb) in zip(net.backward(cache, upstream), summed):
+        assert np.max(np.abs(gW - sW)) <= 1e-12 * np.max(np.abs(sW))
+        assert np.max(np.abs(gb - sb)) <= 1e-12 * np.max(np.abs(sb))
+    with pytest.raises(ValueError, match="shape"):
+        net.backward(cache, upstream[:4])
+
 
 def test_input_validation():
     net = make_net([3, 4, 2], seed=7)
@@ -127,6 +164,10 @@ def test_input_validation():
         net.forward(np.zeros(5))
     with pytest.raises(ValueError):
         net.forward(np.array([1.0, np.inf, 0.0]))
+    with pytest.raises(ValueError):
+        net.forward(np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        net.forward(np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]))
     _, cache = net.forward(np.zeros(3) + 0.1)
     with pytest.raises(ValueError):
         net.backward(cache, np.zeros(3))

@@ -362,6 +362,73 @@ def test_variant_loss_is_exactly_the_named_function():
                              dasa_bound(f, cosine, bank, label, dasa, t))
 
 
+def _rel(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_batch_rows_match_single_row_calls(mode):
+    # Repeated labels, classes absent from the batch, a labelled class whose
+    # bank entry is empty (count 0), and a row at cos_y = 1 exactly, where the
+    # DA strength is 0 beside rows with positive strength.
+    rng = philox_rng(216)
+    C, F, t = 7, 5, 7
+    W = rng.standard_normal((C, F))
+    W[4] = 2.0 * np.eye(F)[0]
+    labels = np.array([1, 3, 1, 4, 1, 3, 0, 1])
+    f = np.array([unit(rng, F) for _ in labels])
+    f[3] = np.eye(F)[0]
+    bank = CovarianceBank(C, F, mode)
+    for c in (1, 3, 4):
+        stats = stats_in_mode(rng, F, mode)
+        bank.stats[c] = ClassStats(c, stats.count, stats.mean, stats.cov)
+    affine = ClassifierHead(weights=W, biases=rng.standard_normal(C))
+    cosine = ClassifierHead(weights=W, scale=6.0, margin=0.25)
+
+    def cfg(variant, difficulty="none", strength="constant"):
+        return LossConfig(variant=variant, difficulty=difficulty, strength_mode=strength,
+                          lambda0=0.3, ramp_total_iters=10, deferred_fraction=0.2)
+
+    cases = [(affine, cfg("softmax")), (affine, cfg("isda")), (cosine, cfg("am"))]
+    cases += [(cosine, cfg("daam", d)) for d in ("none", "DA", "DY")]
+    cases += [(cosine, cfg("dasa", d, s)) for d in ("none", "DA", "DY") for s in ("constant", "DA", "DY")]
+    for head, config in cases:
+        batch = variant_loss(f, head, bank, labels, config, t)
+        rows = [variant_loss(f[i], head, bank, int(labels[i]), config, t) for i in range(len(labels))]
+        assert batch.value.shape == (len(labels),) and batch.grad_embedding.shape == f.shape
+        assert _rel(batch.value, [r.value for r in rows]) <= 1e-12
+        assert _rel(batch.grad_embedding, [r.grad_embedding for r in rows]) <= 1e-12
+        for key in ("cos_y", "coef", "lambda"):
+            want = [r.per_sample_terms[key] for r in rows]
+            assert batch.per_sample_terms[key].shape == (len(labels),)
+            assert _rel(batch.per_sample_terms[key], want) <= 1e-12 or not np.any(want)
+        assert _rel(batch.grad_weights, sum(r.grad_weights for r in rows)) <= 1e-12
+        assert (batch.grad_biases is None) == (head.biases is None)
+        if head.biases is not None:
+            assert _rel(batch.grad_biases, sum(r.grad_biases for r in rows)) <= 1e-12
+        if config.strength_mode == "DA":
+            lam = batch.per_sample_terms["lambda"]
+            assert lam[3] == 0.0 and np.all(np.delete(lam, 3) > 0.0)
+
+
+def test_batch_input_validation():
+    head = ClassifierHead(weights=np.eye(3), biases=np.zeros(3))
+    f = np.eye(3)[:2]
+    with pytest.raises(ValueError, match="labels"):
+        softmax_ce(f, head, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="labels"):
+        softmax_ce(f, head, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="label 3 out of range"):
+        softmax_ce(f, head, np.array([0, 3]))
+    with pytest.raises(ValueError, match="shape"):
+        softmax_ce(np.ones((2, 4)), head, np.array([0, 1]))
+    with pytest.raises(ValueError, match="unit"):
+        am_softmax(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), ClassifierHead(weights=np.eye(3)),
+                   np.array([0, 1]))
+    with pytest.raises(ValueError, match="statistics"):
+        margin_bound(f, ClassifierHead(weights=np.eye(3)), None, np.array([0, 1]), 0.1)
+
+
 # -- ordering and invariance --------------------------------------------------
 
 

@@ -3,12 +3,17 @@ under a disabled schedule, convergence on an easy problem, and snapshots."""
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semaug.data import SynthSpec, generate
-from semaug.losses import LossConfig
+from semaug.covariance import CovarianceBank
+from semaug.data import EVAL, TRAIN, SynthSpec, generate
+from semaug.embedder import TinyEmbedder
+from semaug.losses import ClassifierHead, LossConfig, variant_loss
+from semaug.metrics import build_trials, compute_eer, compute_min_dcf, score_trials
+from semaug.rng import philox_rng
 from semaug.trainer import (
     SgdNesterov,
     TrainSettings,
@@ -78,6 +83,108 @@ def test_training_is_deterministic():
     np.testing.assert_array_equal(a.eval_embeddings, b.eval_embeddings)
     c = train(ds, cfg, quick_settings(seed=1))
     assert a.metrics[-1].loss != c.metrics[-1].loss
+
+
+# -- the per-sample reference loop -----------------------------------------------
+# Training built from the 1-D calls: one forward, loss, backward and bank
+# update per sample, summed per batch.  The batched `train` must reproduce it
+# up to the rounding of summation order.
+
+
+def per_sample_train(dataset, loss_config, settings):
+    """(metrics rows, embedder, head, bank, diagnostics rows) of the per-sample loop."""
+    X, y, C = dataset.features, dataset.labels, dataset.num_classes
+    train_idx, eval_idx = dataset.indices(TRAIN), dataset.indices(EVAL)
+    n_train, B = train_idx.size, settings.batch_size
+    total_iters = settings.epochs * math.ceil(n_train / B)
+    cfg = replace(loss_config, ramp_total_iters=total_iters)
+    F = settings.embed_dim
+    init_rng = philox_rng(settings.seed, 1)
+    embedder = TinyEmbedder([dataset.dim] + list(settings.hidden) + [F], init_rng)
+    head = ClassifierHead(weights=init_rng.standard_normal((C, F)) / math.sqrt(F),
+                          biases=np.zeros(C) if cfg.variant in ("softmax", "isda") else None,
+                          scale=settings.scale, margin=settings.margin)
+    bank = CovarianceBank(C, F, settings.cov_mode)
+    params = embedder.parameters() + [head.weights] + ([head.biases] if head.biases is not None else [])
+    opt = SgdNesterov(params, settings.lr_init, settings.lr_final, total_iters,
+                      settings.momentum, settings.weight_decay)
+    shuffle_rng = philox_rng(settings.seed, 2)
+    trials = build_trials(y[eval_idx], settings.max_nontarget_per_target, (settings.seed, 3))
+    metrics, diag, t = [], [], 0
+    for epoch in range(settings.epochs):
+        order = shuffle_rng.permutation(train_idx)
+        sums = [0.0] * 4
+        for start in range(0, n_train, B):
+            batch = order[start:start + B]
+            grads = [np.zeros_like(p) for p in params]
+            seen = []
+            for i in batch:
+                f, cache = embedder.forward(X[i])
+                out = variant_loss(f, head, bank, int(y[i]), cfg, t)
+                per = out.per_sample_terms
+                sums = [a + b for a, b in zip(sums, (out.value, per["cos_y"], per["coef"], per["lambda"]))]
+                diag.append([t, int(i), per["cos_y"], per["coef"], per["lambda"], out.value])
+                sample = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
+                sample.append(out.grad_weights)
+                if head.biases is not None:
+                    sample.append(out.grad_biases)
+                for acc, g in zip(grads, sample):
+                    acc += g
+                seen.append((f, int(y[i])))
+            if not settings.stats_after_deferred_only or t / total_iters >= cfg.deferred_fraction:
+                for f, label in seen:
+                    bank.update(f, label)
+            inv = 1.0 / len(batch)
+            opt.step([g * inv for g in grads], t)
+            t += 1
+        embs = np.array([embedder.forward(X[i])[0] for i in eval_idx])
+        scores = score_trials(embs, trials)
+        metrics.append([v / n_train for v in sums] + [compute_eer(scores)[0], compute_min_dcf(scores, settings.dcf)])
+    return np.array(metrics), embedder, head, bank, diag
+
+
+def rel_gap(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("variant,difficulty,strength,cov_mode", [
+    ("softmax", "none", "constant", "full"),
+    ("daam", "DA", "constant", "full"),
+    ("dasa", "DA", "constant", "full"),
+    ("dasa", "DY", "DA", "diagonal"),
+])
+def test_batched_training_matches_the_per_sample_loop(tmp_path, variant, difficulty, strength, cov_mode):
+    ds = tiny_dataset(seed=3, num_classes=5, spc=14)
+    cfg = LossConfig(variant=variant, difficulty=difficulty, strength_mode=strength,
+                     lambda0=0.2, deferred_fraction=0.3)
+    st = quick_settings(epochs=4, batch_size=7, cov_mode=cov_mode,
+                        diagnostics_path=str(tmp_path / "diag.csv"))
+    run = train(ds, cfg, st)
+    metrics, embedder, head, bank, diag = per_sample_train(ds, cfg, st)
+    assert run.total_iters * st.batch_size > ds.indices(TRAIN).size * st.epochs  # a ragged last batch
+    assert (metrics[:, 3] > 0).any() or variant != "dasa"  # the run crosses the deferred fraction
+
+    got = np.array([[r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf] for r in run.metrics])
+    for col in range(got.shape[1]):
+        assert rel_gap(got[:, col], metrics[:, col]) <= 1e-10, col
+    for got_p, want_p in zip(run.embedder.parameters() + [run.head.weights],
+                             embedder.parameters() + [head.weights]):
+        assert rel_gap(got_p, want_p) <= 1e-10
+    if head.biases is not None:
+        assert rel_gap(run.head.biases, head.biases) <= 1e-10
+    for got_s, want_s in zip(run.bank.stats, bank.stats):
+        assert got_s.count == want_s.count
+        if want_s.count:
+            assert rel_gap(got_s.mean, want_s.mean) <= 1e-10
+            assert rel_gap(got_s.cov, want_s.cov) <= 1e-10
+    with open(tmp_path / "diag.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[int(r[0]), int(r[1])] for r in rows] == [r[:2] for r in diag]
+    got_d = np.array([[float(v) for v in r[2:]] for r in rows])
+    want_d = np.array([r[2:] for r in diag])
+    for col in range(want_d.shape[1]):
+        assert rel_gap(got_d[:, col], want_d[:, col]) <= 1e-10, col
 
 
 def test_disabled_schedule_reduces_dasa_to_daam():

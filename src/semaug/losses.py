@@ -130,10 +130,11 @@ class LossOutput:
     per_sample_terms: dict = field(default_factory=dict)
 
 
-def difficulty_da(cos_y: float) -> float:
-    """Difficulty coefficient (1 - cos)/2 in [0, 1], decreasing in cos."""
-    c = min(max(float(cos_y), -1.0), 1.0)
-    return (1.0 - c) / 2.0
+def difficulty_da(cos_y):
+    """Difficulty coefficient (1 - cos)/2 in [0, 1], decreasing in cos;
+    elementwise over an array of cosines, a float for one."""
+    c = (1.0 - np.minimum(np.maximum(cos_y, -1.0), 1.0)) / 2.0
+    return c if np.ndim(c) else float(c)
 
 
 def difficulty_dy(cos_y: float, gamma: float) -> float:
@@ -151,15 +152,11 @@ def _coef_and_slope(mode: str, cos_y, gamma: float):
     if mode == "none":
         return 1.0, 0.0
     c = np.asarray(cos_y, dtype=float)
-    clamped = np.minimum(np.maximum(c, -1.0), 1.0)
-    inside = clamped == c
+    inside = np.abs(c) <= 1.0
     if mode == "DA":
-        return (1.0 - clamped) / 2.0, np.where(inside, -0.5, 0.0)
+        return difficulty_da(c), np.where(inside, -0.5, 0.0)
     if mode == "DY":
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        # math.exp, as in difficulty_dy; np.exp can differ from it in the last bit
-        v = np.array([math.exp(1.0 - x) for x in clamped.ravel().tolist()]).reshape(c.shape) / gamma
+        v = np.array([difficulty_dy(x, gamma) for x in c.ravel().tolist()]).reshape(c.shape)
         return v, np.where(inside, -v, 0.0)
     raise ValueError(f"unknown difficulty mode {mode!r}")
 
@@ -236,22 +233,15 @@ def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W / norms[:, None], norms
 
 
-def _groups(labels: np.ndarray, aug) -> list:
-    """(rows, label) for each distinct label among the rows with lam != 0.
-    ``aug`` marks those rows, or is one bool for every row.  When one label
-    covers every row its rows are a slice, so a batch of one indexes
-    nothing."""
-    if not isinstance(aug, np.ndarray):
-        if not aug:
-            return []
-        if labels.size == 1 or (labels == labels[0]).all():
-            return [(slice(None), int(labels[0]))]
-        aug = np.ones(labels.size, dtype=bool)
-    idx = np.flatnonzero(aug)
-    idx = idx[np.argsort(labels[idx], kind="stable")]
-    ys, starts = np.unique(labels[idx], return_index=True)
-    ends = starts.tolist()[1:] + [idx.size]
-    return [(idx[s:e], y) for y, s, e in zip(ys.tolist(), starts.tolist(), ends)]
+def _groups(labels: np.ndarray, lam) -> list:
+    """(rows, label) for each distinct label among the rows with lam != 0,
+    in label order; ``lam`` is a (B, 1) column or one float for every row."""
+    on = (lam[:, 0] != 0.0).tolist() if isinstance(lam, np.ndarray) else [lam != 0.0] * labels.size
+    rows = {}
+    for i, y in enumerate(labels.tolist()):
+        if on[i]:
+            rows.setdefault(y, []).append(i)
+    return [(np.array(r), y) for y, r in sorted(rows.items())]
 
 
 def _softmax_parts(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,21 +329,17 @@ def _loss(
     e.put(target, 0.0)  # target slot carries the constant exp(0) = 1; phi is 0 there
     g = np.zeros(R.shape)  # d(sum of values)/d(R)
     phi_rows = None if dlam is None else np.zeros(e.shape)  # each row's phi, for d(lam)/d(u_y)
-    every_row = None  # a group of every row waits for the softmax of the whole batch
-    for rows, y in _groups(labels, lam.ravel() != 0.0 if isinstance(lam, np.ndarray) else lam != 0.0):
+    for rows, y in _groups(labels, lam):
         if stats is None:
             raise ValueError("augmentation strength > 0 requires class statistics")
         phi, U = forms_and_product(stats if isinstance(stats, ClassStats) else stats[y], R - R[y], y)
         lam_y = lam[rows] if isinstance(lam, np.ndarray) else lam
-        e[rows] += 0.5 * lam_y * a * a * phi
+        e[rows] = e_y = e[rows] + 0.5 * lam_y * a * a * phi
         if phi_rows is not None:
             phi_rows[rows] = phi
-        if isinstance(rows, slice):
-            every_row = (y, lam_y, U)
-            continue
-        # e[rows] is final, so this softmax is those rows' q below; its target
+        # e_y is final, so its softmax is those rows' q below; its target
         # slot needs no zeroing because row y of U is 0
-        _add_cov_term(g, _softmax_parts(e[rows])[2], lam_y * a * a, U, y)
+        _add_cov_term(g, _softmax_parts(e_y)[2], lam_y * a * a, U, y)
 
     emax, total, q = _softmax_parts(e)
     value = emax[:, 0] + np.array([math.log(t) for t in total[:, 0].tolist()])
@@ -367,9 +353,6 @@ def _loss(
     p.put(target, duy)
     g += p.T @ f
     grad_b = None if b is None else p.sum(axis=0)
-    if every_row is not None:
-        y, lam_y, U = every_row
-        _add_cov_term(g, q, lam_y * a * a, U, y)
     if cosine:
         # chain through row normalization: w_hat = w/|w|
         g = (g - (g * R).sum(axis=1, keepdims=True) * R) / norms[:, None]

@@ -502,6 +502,7 @@ def test_difficulty_exact_values_and_clamping():
     assert difficulty_da(0.0) == 0.5
     assert difficulty_da(2.5) == 0.0    # clamped to cos = 1
     assert difficulty_da(-3.0) == 1.0   # clamped to cos = -1
+    assert difficulty_da(np.array([[2.5], [0.0], [-3.0]])).tolist() == [[0.0], [0.5], [1.0]]
     assert difficulty_dy(1.0, 2.0) == 0.5
     assert difficulty_dy(0.0, 2.0) == pytest.approx(1.3591409142295226, abs=1e-15)
     assert difficulty_dy(-1.0, 2.0) == pytest.approx(3.694528049465325, abs=1e-14)

@@ -5,6 +5,11 @@ starting with '#' are skipped.  Unknown keys are errors, so typos fail
 loudly.  Every run serializes its fully resolved configuration (defaults
 plus file plus overrides) next to its outputs; re-running from that file
 reproduces the outputs byte for byte.
+
+Most keys stand for a field of a settings dataclass; ``FIELDS`` maps each
+to its dataclass and field.  Such a key's default is the field's default,
+so the library and the command line share one set of defaults, and the
+``to_*`` builders fill each dataclass from the same table.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _int(s: str) -> int:
-    return int(s, 10)
-
-
 def _float(s: str) -> float:
     v = float(s)
     if math.isnan(v):
@@ -32,52 +33,84 @@ def _float(s: str) -> float:
     return v
 
 
-def _str(s: str) -> str:
-    return s
+# key -> (parser, dataclass, field); the key's default is the field's default
+FIELDS = {
+    "seed": (int, SynthSpec, "seed"),  # to_train_settings passes it on too
+    "data.num_classes": (int, SynthSpec, "num_classes"),
+    "data.dim": (int, SynthSpec, "dim"),
+    "data.samples_per_class": (int, SynthSpec, "samples_per_class"),
+    "data.sigma": (_float, SynthSpec, "sigma"),
+    "data.anisotropy": (_float, SynthSpec, "anisotropy"),
+    "data.hard_pair_fraction": (_float, SynthSpec, "hard_pair_fraction"),
+    "model.hidden": (str, TrainSettings, "hidden"),
+    "model.embed_dim": (int, TrainSettings, "embed_dim"),
+    "loss.variant": (str, LossConfig, "variant"),
+    "loss.difficulty": (str, LossConfig, "difficulty"),
+    "loss.strength_mode": (str, LossConfig, "strength_mode"),
+    "loss.lambda0": (_float, LossConfig, "lambda0"),
+    "loss.gamma": (_float, LossConfig, "gamma"),
+    "loss.scale": (_float, TrainSettings, "scale"),
+    "loss.margin": (_float, TrainSettings, "margin"),
+    "sched.deferred_fraction": (_float, LossConfig, "deferred_fraction"),
+    "opt.epochs": (int, TrainSettings, "epochs"),
+    "opt.batch_size": (int, TrainSettings, "batch_size"),
+    "opt.lr_init": (_float, TrainSettings, "lr_init"),
+    "opt.lr_final": (_float, TrainSettings, "lr_final"),
+    "opt.momentum": (_float, TrainSettings, "momentum"),
+    "opt.weight_decay": (_float, TrainSettings, "weight_decay"),
+    "stats.mode": (str, TrainSettings, "cov_mode"),
+    "stats.after_deferred_only": (int, TrainSettings, "stats_after_deferred_only"),
+    "eval.max_nontarget_per_target": (_float, TrainSettings, "max_nontarget_per_target"),
+    "eval.p_target": (_float, DcfParams, "p_target"),
+    "eval.c_miss": (_float, DcfParams, "c_miss"),
+    "eval.c_fa": (_float, DcfParams, "c_fa"),
+}
 
 
-# key -> (parser, default)
+def hidden_sizes(cfg: dict) -> list:
+    text = cfg["model.hidden"].strip()
+    if not text:
+        return []
+    try:
+        return [int(s.strip(), 10) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad value for 'model.hidden': {cfg['model.hidden']!r}") from None
+
+
+# Keys whose value has another form than their field: key -> (cfg -> field
+# value, field value -> key value).  "model.hidden" is text like "32,16".
+_FORMS = {
+    "model.hidden": (hidden_sizes, lambda sizes: ",".join(map(str, sizes))),
+    "stats.after_deferred_only": (lambda cfg: bool(cfg["stats.after_deferred_only"]), int),
+}
+
+
+def _key_default(key: str, cls, name: str):
+    value = getattr(cls(), name)
+    return _FORMS[key][1](value) if key in _FORMS else value
+
+
+# key -> (parser, default); the keys of FIELDS first, then those no dataclass holds
 REGISTRY = {
-    "seed": (_int, 0),
-    "out": (_str, "out"),
-    "data.num_classes": (_int, 20),
-    "data.dim": (_int, 20),
-    "data.samples_per_class": (_int, 60),
-    "data.sigma": (_float, 0.3),
-    "data.anisotropy": (_float, 0.65),
-    "data.hard_pair_fraction": (_float, 0.5),
-    "model.hidden": (_str, "64"),
-    "model.embed_dim": (_int, 16),
-    "loss.variant": (_str, "dasa"),
-    "loss.difficulty": (_str, "DA"),
-    "loss.strength_mode": (_str, "DA"),
-    "loss.lambda0": (_float, 0.15),
-    "loss.gamma": (_float, 2.0),
-    "loss.scale": (_float, 12.0),
-    "loss.margin": (_float, 0.2),
-    "sched.deferred_fraction": (_float, 0.4),
-    "opt.epochs": (_int, 60),
-    "opt.batch_size": (_int, 32),
-    "opt.lr_init": (_float, 0.05),
-    "opt.lr_final": (_float, 1e-4),
-    "opt.momentum": (_float, 0.9),
-    "opt.weight_decay": (_float, 1e-4),
-    "stats.mode": (_str, "full"),
-    "stats.after_deferred_only": (_int, 0),
-    "eval.max_nontarget_per_target": (_float, 10.0),
-    "eval.p_target": (_float, 0.01),
-    "eval.c_miss": (_float, 1.0),
-    "eval.c_fa": (_float, 1.0),
-    "train.dataset": (_str, "dataset.csv"),
-    "train.diagnostics": (_int, 0),
-    "compare.variants": (_str, "am,daam,dasa"),
-    "compare.seeds": (_str, "0,1,2,3,4"),
-    "bound.trials": (_int, 50),
-    "bound.samples": (_int, 100000),
-    "grad.trials": (_int, 100),
-    "grad.composed_trials": (_int, 10),
+    **{key: (parser, _key_default(key, cls, name)) for key, (parser, cls, name) in FIELDS.items()},
+    "out": (str, "out"),
+    "train.dataset": (str, "dataset.csv"),
+    "train.diagnostics": (int, 0),
+    "compare.variants": (str, "am,daam,dasa"),
+    "compare.seeds": (str, "0,1,2,3,4"),
+    "bound.trials": (int, 50),
+    "bound.samples": (int, 100000),
+    "grad.trials": (int, 100),
+    "grad.composed_trials": (int, 10),
     "grad.epsilon": (_float, 6e-5),
 }
+
+
+def _build(cls, cfg: dict, **extra):
+    """An instance of ``cls`` from its keys in ``cfg``; ``extra`` wins."""
+    kwargs = {name: _FORMS[key][0](cfg) if key in _FORMS else cfg[key]
+              for key, (_, owner, name) in FIELDS.items() if owner is cls}
+    return cls(**{**kwargs, **extra})
 
 
 def parse_value(key: str, raw: str):
@@ -109,25 +142,16 @@ def resolve(file_values: dict | None = None, overrides: dict | None = None) -> d
     """Defaults, then file values, then overrides; all keys present after."""
     cfg = {k: d for k, (_, d) in REGISTRY.items()}
     for source in (file_values, overrides):
-        if source:
-            for k, v in source.items():
-                if k not in REGISTRY:
-                    raise ConfigError(f"unknown config key {k!r}")
-                cfg[k] = v
+        for k, v in (source or {}).items():
+            if k not in REGISTRY:
+                raise ConfigError(f"unknown config key {k!r}")
+            cfg[k] = v
     return cfg
 
 
 def serialize(cfg: dict) -> str:
     """Deterministic text form; parsing it back yields identical values."""
-    lines = []
-    for key in sorted(cfg):
-        v = cfg[key]
-        if isinstance(v, float):
-            text = repr(v)
-        else:
-            text = str(v)
-        lines.append(f"{key} = {text}\n")
-    return "".join(lines)
+    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))  # str(float) is repr
 
 
 def write_config(path, cfg: dict) -> None:
@@ -135,67 +159,25 @@ def write_config(path, cfg: dict) -> None:
         fh.write(serialize(cfg))
 
 
-def hidden_sizes(cfg: dict) -> list:
-    text = cfg["model.hidden"].strip()
-    if not text:
-        return []
-    try:
-        return [int(s.strip(), 10) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad value for 'model.hidden': {cfg['model.hidden']!r}") from None
-
-
 def to_synth_spec(cfg: dict) -> SynthSpec:
-    return SynthSpec(
-        num_classes=cfg["data.num_classes"],
-        dim=cfg["data.dim"],
-        samples_per_class=cfg["data.samples_per_class"],
-        sigma=cfg["data.sigma"],
-        anisotropy=cfg["data.anisotropy"],
-        hard_pair_fraction=cfg["data.hard_pair_fraction"],
-        seed=cfg["seed"],
-    )
+    return _build(SynthSpec, cfg)
 
 
 def to_loss_config(cfg: dict, variant: str | None = None) -> LossConfig:
-    v = variant if variant is not None else cfg["loss.variant"]
-    difficulty = cfg["loss.difficulty"]
-    if v in ("softmax", "isda", "am"):
-        difficulty = "none"
-    return LossConfig(
-        variant=v,
-        difficulty=difficulty,
-        strength_mode=cfg["loss.strength_mode"],
-        lambda0=cfg["loss.lambda0"],
-        gamma=cfg["loss.gamma"],
-        ramp_total_iters=1,  # the trainer replaces this with its true horizon
-        deferred_fraction=cfg["sched.deferred_fraction"],
-    )
+    """The loss set-up of ``cfg``, or of ``variant`` with the same keys.
+
+    ``ramp_total_iters`` keeps its default; the trainer replaces it with
+    its true horizon.
+    """
+    return _build(LossConfig, cfg, variant=cfg["loss.variant"] if variant is None else variant)
 
 
 def to_dcf_params(cfg: dict) -> DcfParams:
-    return DcfParams(p_target=cfg["eval.p_target"],
-                     c_miss=cfg["eval.c_miss"],
-                     c_fa=cfg["eval.c_fa"])
+    return _build(DcfParams, cfg)
 
 
 def to_train_settings(cfg: dict, seed: int | None = None,
                       diagnostics_path=None) -> TrainSettings:
-    return TrainSettings(
-        hidden=hidden_sizes(cfg),
-        embed_dim=cfg["model.embed_dim"],
-        epochs=cfg["opt.epochs"],
-        batch_size=cfg["opt.batch_size"],
-        lr_init=cfg["opt.lr_init"],
-        lr_final=cfg["opt.lr_final"],
-        momentum=cfg["opt.momentum"],
-        weight_decay=cfg["opt.weight_decay"],
-        scale=cfg["loss.scale"],
-        margin=cfg["loss.margin"],
-        cov_mode=cfg["stats.mode"],
-        stats_after_deferred_only=bool(cfg["stats.after_deferred_only"]),
-        max_nontarget_per_target=cfg["eval.max_nontarget_per_target"],
-        dcf=to_dcf_params(cfg),
-        seed=cfg["seed"] if seed is None else seed,
-        diagnostics_path=diagnostics_path,
-    )
+    return _build(TrainSettings, cfg, dcf=to_dcf_params(cfg),
+                  seed=cfg["seed"] if seed is None else seed,
+                  diagnostics_path=diagnostics_path)

@@ -27,9 +27,9 @@ from .rng import philox_rng
 class SynthSpec:
     num_classes: int = 20
     dim: int = 20
-    samples_per_class: int = 40
-    sigma: float = 0.35
-    anisotropy: float = 0.5
+    samples_per_class: int = 60
+    sigma: float = 0.3
+    anisotropy: float = 0.65
     hard_pair_fraction: float = 0.5
     seed: int = 0
 
@@ -144,12 +144,10 @@ def write_dataset(dataset: Dataset, path) -> None:
             w.writerow([int(label)] + [format(v, ".17g") for v in row] + [tag])
 
 
-def read_dataset(path) -> Dataset:
-    """Read a dataset CSV written by :func:`write_dataset`.
-
-    Every defect, including a non-finite feature or a label outside
-    [0, 2**63), raises ``ValueError("<path>: line N: ...")``.
-    """
+def read_csv_rows(path) -> list[list[str]]:
+    """Every row of a CSV file, a blank line as an empty list.  An empty
+    file, or one the csv module rejects (a field over its size limit,
+    say), raises ``ValueError("<path>: line N: ...")``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -158,6 +156,29 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: line 1: empty file")
+    return rows
+
+
+def data_rows(path, rows: list, width: int):
+    """Yield (line number, fields) for each non-blank row after the header
+    line.  A row without ``width`` fields, or no such row at all, raises
+    ``ValueError("<path>: line N: ...")``."""
+    if not any(rows[1:]):
+        raise ValueError(f"{path}: line {len(rows) + 1}: no data rows")
+    for ln, row in enumerate(rows[1:], start=2):
+        if row:
+            if len(row) != width:
+                raise ValueError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
+            yield ln, row
+
+
+def read_dataset(path) -> Dataset:
+    """Read a dataset CSV written by :func:`write_dataset`.
+
+    Every defect, including a non-finite feature or a label outside
+    [0, 2**63), raises ``ValueError("<path>: line N: ...")``.
+    """
+    rows = read_csv_rows(path)
     header = rows[0]
     if len(header) < 3 or header[0] != "label" or header[-1] != "split":
         raise ValueError(f"{path}: line 1: expected header 'label,x0,...,split'")
@@ -165,11 +186,7 @@ def read_dataset(path) -> Dataset:
     if header[1:-1] != [f"x{i}" for i in range(d)]:
         raise ValueError(f"{path}: line 1: malformed feature columns")
     labels, feats, split = [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != d + 2:
-            raise ValueError(f"{path}: line {ln}: expected {d + 2} fields, got {len(row)}")
+    for ln, row in data_rows(path, rows, d + 2):
         try:
             label = int(row[0])
             x = [float(v) for v in row[1:-1]]
@@ -184,8 +201,6 @@ def read_dataset(path) -> Dataset:
         labels.append(label)
         feats.append(x)
         split.append(row[-1])
-    if not labels:
-        raise ValueError(f"{path}: line {len(rows) + 1}: no data rows")
     return Dataset(features=np.array(feats), labels=np.array(labels), split=np.array(split))
 
 
@@ -200,24 +215,27 @@ def write_embeddings(path, indices, vectors) -> None:
 
 
 def read_embeddings(path) -> dict[int, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    """Read an embedding CSV written by :func:`write_embeddings`.
+
+    Every defect, including a non-finite value, an index outside
+    [0, 2**63) or a repeated index, raises ``ValueError("<path>: line N: ...")``.
+    """
+    rows = read_csv_rows(path)
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
-    dim = len(header) - 1
     out: dict[int, np.ndarray] = {}
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != dim + 1:
-            raise ValueError(f"{path}: line {ln}: expected {dim + 1} fields, got {len(row)}")
+    for ln, row in data_rows(path, rows, len(header)):
         try:
-            out[int(row[0])] = np.array([float(v) for v in row[1:]])
+            idx = int(row[0])
+            e = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-    if not out:
-        raise ValueError(f"{path}: no data rows")
+        if not 0 <= idx < 2**63:
+            raise ValueError(f"{path}: line {ln}: index {idx} outside [0, 2**63)")
+        if idx in out:
+            raise ValueError(f"{path}: line {ln}: duplicate index {idx}")
+        if not all(math.isfinite(v) for v in e):
+            raise ValueError(f"{path}: line {ln}: non-finite value")
+        out[idx] = np.array(e)
     return out

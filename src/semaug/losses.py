@@ -87,12 +87,16 @@ class LossConfig:
     the first ``deferred_fraction`` of it and then ramps linearly as t/T
     times ``lambda0`` (or times the sample's difficulty coefficient when
     ``strength_mode`` is dynamic).
+
+    Only ``daam`` and ``dasa`` weigh by difficulty and only ``dasa``
+    schedules a dynamic strength, so other variants read ``difficulty =
+    "none"`` and ``strength_mode = "constant"`` whatever they were given.
     """
 
     variant: str = "dasa"
     difficulty: str = "DA"
-    strength_mode: str = "constant"
-    lambda0: float = 0.1
+    strength_mode: str = "DA"
+    lambda0: float = 0.15
     gamma: float = 2.0
     ramp_total_iters: int = 1
     deferred_fraction: float = 0.4
@@ -104,10 +108,10 @@ class LossConfig:
             raise ValueError(f"difficulty must be one of {DIFFICULTY_MODES}, got {self.difficulty!r}")
         if self.strength_mode not in STRENGTH_MODES:
             raise ValueError(f"strength_mode must be one of {STRENGTH_MODES}, got {self.strength_mode!r}")
-        if self.variant in ("softmax", "isda", "am") and self.difficulty != "none":
-            raise ValueError(f"variant {self.variant!r} does not take a difficulty mode")
+        if self.variant in ("softmax", "isda", "am"):
+            self.difficulty = "none"
         if self.variant != "dasa":
-            self.strength_mode = "constant"  # only dasa schedules a dynamic strength
+            self.strength_mode = "constant"
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
         if not self.gamma > 0:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import data_rows, read_csv_rows
 from .rng import philox_rng
 
 
@@ -171,26 +172,30 @@ def write_trials(path, trials: TrialSet) -> None:
 
 
 def read_trials(path) -> TrialSet:
+    """Read a trial list written by :func:`write_trials`.
+
+    Every defect, including an index outside [0, 2**63), a trial that
+    pairs an index with itself or an ``is_target`` other than 0 or 1,
+    raises ``ValueError("<path>: line N: ...")``.
+    """
     ia, ib, tg = [], [], []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    rows = read_csv_rows(path)
     if rows[0] != ["index_a", "index_b", "is_target"]:
         raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"{path}: line {ln}: expected 3 fields, got {len(row)}")
+    for ln, row in data_rows(path, rows, 3):
         try:
-            ia.append(int(row[0]))
-            ib.append(int(row[1]))
-            tg.append(bool(int(row[2])))
+            a, b, t = int(row[0]), int(row[1]), int(row[2])
         except ValueError as exc:
             raise ValueError(f"{path}: line {ln}: {exc}") from None
-    if not ia:
-        raise ValueError(f"{path}: no data rows")
+        if not (0 <= a < 2**63 and 0 <= b < 2**63):
+            raise ValueError(f"{path}: line {ln}: index outside [0, 2**63)")
+        if a == b:
+            raise ValueError(f"{path}: line {ln}: trial pairs index {a} with itself")
+        if t not in (0, 1):
+            raise ValueError(f"{path}: line {ln}: is_target must be 0 or 1, got {t}")
+        ia.append(a)
+        ib.append(b)
+        tg.append(t == 1)
     return TrialSet(index_a=np.array(ia), index_b=np.array(ib), is_target=np.array(tg))
 
 

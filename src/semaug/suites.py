@@ -16,6 +16,7 @@ import numpy as np
 from .covariance import ClassStats, CovarianceBank, DIAGONAL, FULL, quadratic_forms
 from .embedder import TinyEmbedder
 from .losses import (
+    VARIANTS,
     ClassifierHead,
     LossConfig,
     daam_softmax,
@@ -192,7 +193,7 @@ def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
         )
     else:
         # at t = T = 1 with nothing deferred the schedule is lambda0 itself
-        cfg = LossConfig(variant=variant, difficulty=("DA", "DY")[trial % 2] if variant == "daam" else "none",
+        cfg = LossConfig(variant=variant, difficulty=("DA", "DY")[trial % 2],
                          lambda0=lam, gamma=2.0, ramp_total_iters=1, deferred_fraction=0.0)
     t = 1
     if variant in ("softmax", "isda"):
@@ -218,7 +219,7 @@ def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float
 def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradTrial]:
     """Finite-difference checks for all five loss variants."""
     out = []
-    for variant in ("softmax", "isda", "am", "daam", "dasa"):
+    for variant in VARIANTS:
         for k in range(trials_per_variant):
             err = _gradcheck_scenario(variant, k, seed, epsilon)
             out.append(GradTrial(kind="loss", variant=variant, trial=k, max_rel_error=err))
@@ -228,10 +229,9 @@ def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradT
 def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
     """Finite-difference checks of d(loss)/d(parameter) through the full
     embedding network and head, for every loss variant in rotation."""
-    variants = ("softmax", "isda", "am", "daam", "dasa")
     out = []
     for k in range(trials):
-        variant = variants[k % len(variants)]
+        variant = VARIANTS[k % len(VARIANTS)]
         rng = philox_rng(seed, 20, k)
         d_in = 4 + int(rng.integers(0, 4))
         hidden = [5 + int(rng.integers(0, 4))]
@@ -258,7 +258,7 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         bank.stats[label] = ClassStats(class_id=label, count=stats.count,
                                        mean=stats.mean, cov=stats.cov)
         # the schedule at t = T with nothing deferred is lambda0 itself
-        cfg = LossConfig(variant=variant, difficulty="DA" if variant in ("daam", "dasa") else "none",
+        cfg = LossConfig(variant=variant, difficulty="DA", strength_mode="constant",
                          lambda0=lam, ramp_total_iters=10, deferred_fraction=0.0)
         if variant in ("softmax", "isda"):
             head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))

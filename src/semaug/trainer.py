@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import CovarianceBank
-from .data import Dataset, EVAL, TRAIN
+from .data import Dataset, EVAL, TRAIN, read_csv_rows
 from .embedder import TinyEmbedder
 from .losses import ClassifierHead, LossConfig, variant_loss
 from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
@@ -284,12 +284,7 @@ def load_model(path) -> tuple[TinyEmbedder, ClassifierHead]:
     or surplus row, a wrong length, a non-numeric or non-finite value, a
     bad layer size, scale or margin) raises ``ValueError("<path>: line N: ...")``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(n, r) for n, r in enumerate(reader, start=1) if r]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    rows = [(n, r) for n, r in enumerate(read_csv_rows(path), start=1) if r]
     if not rows or rows[0][1][:1] != ["semaug-model"]:
         raise ValueError(f"{path}: line 1: not a model snapshot")
     rest = iter(rows[1:])

@@ -11,11 +11,16 @@ from semaug.config import (
     parse_value,
     resolve,
     serialize,
+    to_dcf_params,
     to_loss_config,
     to_synth_spec,
     to_train_settings,
     write_config,
 )
+from semaug.data import SynthSpec
+from semaug.losses import LossConfig
+from semaug.metrics import DcfParams
+from semaug.trainer import TrainSettings
 
 
 def test_resolve_defaults_covers_every_key():
@@ -76,6 +81,17 @@ def test_serialize_is_sorted_and_reparseable():
     keys = [line.split(" = ")[0] for line in text.splitlines()]
     assert keys == sorted(keys)
     assert "opt.lr_final = 0.0001" in text
+    # keys whose text form differs from their field keep that form
+    assert "model.hidden = 64\n" in text
+    assert "stats.after_deferred_only = 0\n" in text
+
+
+def test_library_defaults_are_the_registry_defaults():
+    cfg = resolve()
+    assert to_synth_spec(cfg) == SynthSpec()
+    assert to_loss_config(cfg) == LossConfig()
+    assert to_dcf_params(cfg) == DcfParams()
+    assert to_train_settings(cfg) == TrainSettings()
 
 
 def test_hidden_sizes_parsing():

@@ -34,7 +34,7 @@ def nearest_center_accuracy(ds):
 
 def test_tiny_noise_makes_classes_trivially_separable():
     spec = SynthSpec(num_classes=8, dim=12, samples_per_class=20,
-                     sigma=0.005, hard_pair_fraction=0.0, seed=3)
+                     sigma=0.005, anisotropy=0.5, hard_pair_fraction=0.0, seed=3)
     assert nearest_center_accuracy(generate(spec)) == 1.0
 
 
@@ -46,7 +46,7 @@ def test_large_noise_with_hard_pairs_causes_confusions():
 
 def test_hard_pairs_sit_at_small_angles():
     spec = SynthSpec(num_classes=4, dim=16, samples_per_class=60,
-                     sigma=0.01, hard_pair_fraction=1.0, seed=5)
+                     sigma=0.01, anisotropy=0.5, hard_pair_fraction=1.0, seed=5)
     means = class_means(generate(spec))
     means /= np.linalg.norm(means, axis=1)[:, None]
     for a, b in ((0, 1), (2, 3)):
@@ -58,7 +58,7 @@ def test_hard_pairs_sit_at_small_angles():
 
 def test_without_hard_pairs_classes_stay_well_separated():
     spec = SynthSpec(num_classes=6, dim=16, samples_per_class=40,
-                     sigma=0.01, hard_pair_fraction=0.0, seed=7)
+                     sigma=0.01, anisotropy=0.5, hard_pair_fraction=0.0, seed=7)
     means = class_means(generate(spec))
     means /= np.linalg.norm(means, axis=1)[:, None]
     for a in range(6):
@@ -83,7 +83,8 @@ def test_anisotropy_knob_shapes_the_class_scatter():
 
 def test_split_is_stratified_per_class():
     for n in (3, 4, 10, 40):
-        spec = SynthSpec(num_classes=5, dim=4, samples_per_class=n, seed=1)
+        spec = SynthSpec(num_classes=5, dim=4, samples_per_class=n,
+                         sigma=0.35, anisotropy=0.5, seed=1)
         ds = generate(spec)
         for c in range(5):
             mask = ds.labels == c
@@ -95,12 +96,14 @@ def test_split_is_stratified_per_class():
 
 
 def test_generation_is_byte_identical_per_seed():
-    spec = SynthSpec(num_classes=6, dim=8, samples_per_class=12, seed=42)
+    spec = SynthSpec(num_classes=6, dim=8, samples_per_class=12,
+                     sigma=0.35, anisotropy=0.5, seed=42)
     a, b = generate(spec), generate(spec)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.split, b.split)
-    c = generate(SynthSpec(num_classes=6, dim=8, samples_per_class=12, seed=43))
+    c = generate(SynthSpec(num_classes=6, dim=8, samples_per_class=12,
+                           sigma=0.35, anisotropy=0.5, seed=43))
     assert not np.array_equal(a.features, c.features)
 
 
@@ -139,7 +142,8 @@ def test_spec_validation():
 
 
 def test_dataset_round_trip_is_exact(tmp_path):
-    ds = generate(SynthSpec(num_classes=3, dim=5, samples_per_class=6, seed=2))
+    ds = generate(SynthSpec(num_classes=3, dim=5, samples_per_class=6,
+                            sigma=0.35, anisotropy=0.5, seed=2))
     path = tmp_path / "data.csv"
     write_dataset(ds, path)
     back = read_dataset(path)

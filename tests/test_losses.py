@@ -161,7 +161,7 @@ def test_dasa_hand_case():
     # phi_1 = |e2-e1|^2 = 2: exponent gains 0.5*0.1*4*2 = 0.4
     head = ClassifierHead(weights=np.eye(2), scale=2.0, margin=0.25)
     bank = bank_with(ClassStats(0, 9, np.zeros(2), np.eye(2)), 2, 0)
-    cfg = LossConfig(variant="dasa", difficulty="DA", lambda0=0.1,
+    cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1,
                      ramp_total_iters=1, deferred_fraction=0.0)
     out = dasa_bound(np.array([0.6, 0.8]), head, bank, 0, cfg, 1)
     assert out.value == pytest.approx(1.2411538747320878, abs=1e-14)
@@ -312,7 +312,7 @@ def test_dasa_without_difficulty_or_strength_is_exactly_am():
     f = unit(rng, 5)
     head = ClassifierHead(weights=W, scale=10.0, margin=0.2)
     bank = bank_with(random_stats(rng, 5), 4, 1)
-    cfg = LossConfig(variant="dasa", difficulty="none", lambda0=0.4,
+    cfg = LossConfig(variant="dasa", difficulty="none", strength_mode="constant", lambda0=0.4,
                      ramp_total_iters=10, deferred_fraction=1.0)
     a = dasa_bound(f, head, bank, 1, cfg, 9)  # strength deferred past this point
     c = am_softmax(f, head, 1)
@@ -530,7 +530,8 @@ def test_difficulty_ranges_hold_everywhere(c):
 
 
 def test_schedule_endpoint_and_deferred_region():
-    cfg = LossConfig(variant="dasa", lambda0=0.1, ramp_total_iters=10, deferred_fraction=0.4)
+    cfg = LossConfig(variant="dasa", strength_mode="constant", lambda0=0.1,
+                     ramp_total_iters=10, deferred_fraction=0.4)
     assert lambda_schedule(0, cfg) == 0.0
     assert lambda_schedule(3, cfg) == 0.0          # 0.3 < 0.4
     assert lambda_schedule(4, cfg) == 0.4 * 0.1    # boundary is inclusive
@@ -553,7 +554,8 @@ def test_schedule_dynamic_mode_scales_the_coefficient():
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 def test_schedule_is_monotone_in_time(t1, t2):
-    cfg = LossConfig(variant="dasa", lambda0=0.25, ramp_total_iters=20, deferred_fraction=0.35)
+    cfg = LossConfig(variant="dasa", strength_mode="constant", lambda0=0.25,
+                     ramp_total_iters=20, deferred_fraction=0.35)
     lo, hi = sorted((t1, t2))
     assert lambda_schedule(lo, cfg) <= lambda_schedule(hi, cfg)
 
@@ -796,8 +798,8 @@ def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(variant="centerloss")
     for variant in ("softmax", "isda", "am"):
-        with pytest.raises(ValueError):
-            LossConfig(variant=variant, difficulty="DA")
+        # a difficulty mode on a variant that takes none is coerced away
+        assert LossConfig(variant=variant, difficulty="DA").difficulty == "none"
         LossConfig(variant=variant, difficulty="none")  # ok
     with pytest.raises(ValueError):
         LossConfig(variant="dasa", difficulty="hard")

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from semaug.cli import entry
 from semaug.covariance import DIAGONAL, FULL, CovarianceBank, load_bank, save_bank
-from semaug.data import SynthSpec, generate, read_dataset, write_dataset
+from semaug.data import SynthSpec, generate, read_dataset, read_embeddings, write_dataset, write_embeddings
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead
+from semaug.metrics import TrialSet, read_trials, write_trials
 from semaug.rng import philox_rng
 from semaug.trainer import load_model, save_model
 
@@ -37,7 +39,20 @@ def model_text(tmp_path, biases):
 
 def dataset_text(tmp_path):
     path = tmp_path / "written_data.csv"
-    write_dataset(generate(SynthSpec(num_classes=2, dim=2, samples_per_class=3, seed=4)), path)
+    write_dataset(generate(SynthSpec(num_classes=2, dim=2, samples_per_class=3,
+                                      sigma=0.35, anisotropy=0.5, seed=4)), path)
+    return path.read_text()
+
+
+def embeddings_text(tmp_path):
+    path = tmp_path / "written_emb.csv"
+    write_embeddings(path, [3, 0, 7], philox_rng(304).standard_normal((3, 2)))
+    return path.read_text()
+
+
+def trials_text(tmp_path):
+    path = tmp_path / "written_trials.csv"
+    write_trials(path, TrialSet(index_a=[0, 0, 3], index_b=[3, 7, 7], is_target=[True, False, False]))
     return path.read_text()
 
 
@@ -157,6 +172,65 @@ def check_dataset(ds):
     assert set(ds.split.tolist()) <= {"train", "eval"}
 
 
+# -- read_embeddings and read_trials -------------------------------------------
+
+
+@pytest.mark.parametrize("line,cell,value,match", [
+    (2, 1, "nan", "non-finite value"),
+    (3, 2, "-inf", "non-finite value"),
+    (4, 0, "3", "duplicate index 3"),
+    (3, 0, "-1", re.escape("outside [0, 2**63)")),
+    (3, 0, str(2**63), "outside"),
+])
+def test_read_embeddings_names_each_defect(tmp_path, line, cell, value, match):
+    text = set_cell(embeddings_text(tmp_path), line, cell, value)
+    expect_line(read_embeddings, tmp_path / "emb.csv", text, line, match)
+
+
+@pytest.mark.parametrize("line,cell,value,match", [
+    (2, 1, "0", "pairs index 0 with itself"),
+    (3, 2, "7", "is_target must be 0 or 1, got 7"),
+    (4, 2, "-1", "is_target must be 0 or 1"),
+    (2, 0, "-2", "outside"),
+    (4, 1, str(2**64), "outside"),
+])
+def test_read_trials_names_each_defect(tmp_path, line, cell, value, match):
+    text = set_cell(trials_text(tmp_path), line, cell, value)
+    expect_line(read_trials, tmp_path / "trials.csv", text, line, match)
+
+
+@pytest.mark.parametrize("reader,text", [(read_embeddings, embeddings_text), (read_trials, trials_text)])
+def test_overlong_field_names_the_line(tmp_path, reader, text):
+    path = tmp_path / "file.csv"
+    expect_line(reader, path, set_cell(text(tmp_path), 3, 1, "1" * 200_000), 3, "field larger")
+
+
+def test_score_exits_2_on_bad_inputs(tmp_path, capsys):
+    emb, trials = embeddings_text(tmp_path), trials_text(tmp_path)
+    for bad_emb, bad_trials in ((set_cell(emb, 2, 1, "1" * 200_000), trials),
+                                (set_cell(emb, 2, 1, "nan"), trials),
+                                (emb, set_cell(trials, 2, 1, "0"))):
+        (tmp_path / "emb.csv").write_text(bad_emb)
+        (tmp_path / "trials.csv").write_text(bad_trials)
+        assert entry(["score", "--out", str(tmp_path / "s"),
+                      str(tmp_path / "emb.csv"), str(tmp_path / "trials.csv")]) == 2
+        assert re.search(r"\.csv: line 2: ", capsys.readouterr().err)
+
+
+def check_embeddings(embs):
+    assert embs and all(isinstance(k, int) and 0 <= k < 2**63 for k in embs)
+    dims = {v.shape for v in embs.values()}
+    assert len(dims) == 1 and all(np.all(np.isfinite(v)) for v in embs.values())
+
+
+def check_trials(trials):
+    n = trials.index_a.size
+    assert n > 0 and trials.index_b.shape == trials.is_target.shape == (n,)
+    assert np.all(trials.index_a >= 0) and np.all(trials.index_b >= 0)
+    assert not np.any(trials.index_a == trials.index_b)
+    assert trials.is_target.dtype == bool
+
+
 # -- fuzzing -------------------------------------------------------------------
 
 CELLS = st.one_of(
@@ -234,3 +308,17 @@ def test_fuzzed_model_files_load_or_name_the_line(tmp_path, data, biases):
 def test_fuzzed_dataset_files_load_or_name_the_line(tmp_path, data):
     text = data.draw(mutated(dataset_text(tmp_path)))
     fuzz_reader(read_dataset, check_dataset, tmp_path / "data.csv", text)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_embedding_files_load_or_name_the_line(tmp_path, data):
+    text = data.draw(mutated(embeddings_text(tmp_path)))
+    fuzz_reader(read_embeddings, check_embeddings, tmp_path / "emb.csv", text)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_trial_files_load_or_name_the_line(tmp_path, data):
+    text = data.draw(mutated(trials_text(tmp_path)))
+    fuzz_reader(read_trials, check_trials, tmp_path / "trials.csv", text)

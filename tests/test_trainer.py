@@ -27,7 +27,7 @@ from semaug.trainer import (
 
 def tiny_dataset(seed=0, num_classes=3, spc=10):
     return generate(SynthSpec(num_classes=num_classes, dim=6, samples_per_class=spc,
-                              sigma=0.1, hard_pair_fraction=0.0, seed=seed))
+                              sigma=0.1, anisotropy=0.5, hard_pair_fraction=0.0, seed=seed))
 
 
 def quick_settings(**over):
@@ -74,7 +74,7 @@ def test_update_rule_matches_the_stated_recurrence():
 
 def test_training_is_deterministic():
     ds = tiny_dataset()
-    cfg = LossConfig(variant="dasa", difficulty="DA", lambda0=0.1, deferred_fraction=0.3)
+    cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1, deferred_fraction=0.3)
     a = train(ds, cfg, quick_settings())
     b = train(ds, cfg, quick_settings())
     assert [r.loss for r in a.metrics] == [r.loss for r in b.metrics]
@@ -190,7 +190,7 @@ def test_batched_training_matches_the_per_sample_loop(tmp_path, variant, difficu
 def test_disabled_schedule_reduces_dasa_to_daam():
     ds = tiny_dataset()
     daam = train(ds, LossConfig(variant="daam", difficulty="DA"), quick_settings())
-    dasa = train(ds, LossConfig(variant="dasa", difficulty="DA", lambda0=0.5,
+    dasa = train(ds, LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.5,
                                 deferred_fraction=1.0), quick_settings())
     assert [r.loss for r in dasa.metrics] == [r.loss for r in daam.metrics]
     assert [r.eer for r in dasa.metrics] == [r.eer for r in daam.metrics]
@@ -209,7 +209,7 @@ def test_disabled_schedule_reduces_isda_to_softmax():
 
 def test_easy_problem_converges():
     ds = generate(SynthSpec(num_classes=2, dim=6, samples_per_class=16,
-                            sigma=0.05, hard_pair_fraction=0.0, seed=4))
+                            sigma=0.05, anisotropy=0.5, hard_pair_fraction=0.0, seed=4))
     run = train(ds, LossConfig(variant="am", difficulty="none"),
                 quick_settings(epochs=25, batch_size=8, lr_final=1e-3))
     assert run.metrics[-1].loss < 0.05
@@ -231,7 +231,7 @@ def test_divergence_raises_with_the_iteration():
 
 def test_run_bookkeeping():
     ds = tiny_dataset(num_classes=3, spc=10)  # 8 train per class
-    cfg = LossConfig(variant="dasa", difficulty="DA", lambda0=0.1, deferred_fraction=0.4)
+    cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1, deferred_fraction=0.4)
     st = quick_settings(epochs=3, batch_size=10)
     run = train(ds, cfg, st)
     assert run.total_iters == 3 * math.ceil(24 / 10)
@@ -248,7 +248,7 @@ def test_run_bookkeeping():
 
 def test_bank_sees_every_sample_once_per_epoch():
     ds = tiny_dataset(num_classes=3, spc=10)
-    cfg = LossConfig(variant="dasa", difficulty="DA", lambda0=0.1, deferred_fraction=0.5)
+    cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1, deferred_fraction=0.5)
     run = train(ds, cfg, quick_settings(epochs=4, batch_size=6))
     total = sum(run.bank.stats[c].count for c in range(3))
     assert total == 4 * 24
@@ -284,7 +284,7 @@ def test_settings_validation():
 
 def test_model_round_trip_is_exact(tmp_path):
     ds = tiny_dataset()
-    run = train(ds, LossConfig(variant="dasa", difficulty="DA", lambda0=0.1),
+    run = train(ds, LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1),
                 quick_settings(epochs=1))
     path = tmp_path / "model.csv"
     save_model(path, run.embedder, run.head)

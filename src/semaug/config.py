@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .data import SynthSpec
+from .data import SynthSpec, utf8_error
 from .losses import LossConfig
 from .metrics import DcfParams
 from .trainer import TrainSettings
@@ -126,15 +126,22 @@ def parse_value(key: str, raw: str):
 def parse_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {ln}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            key = key.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
+    for ln, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {ln}: expected 'key = value'")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        try:
             values[key] = parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: line {ln}: {exc}") from None
     return values
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import FLOAT, utf8_error
+
 FULL = "full"
 DIAGONAL = "diagonal"
 
@@ -175,26 +177,35 @@ def save_bank(bank: CovarianceBank, path: str) -> None:
     Header line carries the bank geometry; each following row is
     (class_id, count, mean entries, row-major covariance entries), printed
     with 17 significant digits so float64 values round-trip bit-exactly.
+    Each distinct 64-bit pattern of a row is formatted once: one ``%``
+    template turns the row's sorted distinct values into text, and an
+    index array then gives each cell the text of its own pattern.  A
+    symmetric covariance thus costs at most F(F+1)/2 + F conversions
+    instead of F² + F.  Bit patterns keep ``-0.0`` apart from ``0.0``.
     """
-    cov_len = bank.dim * bank.dim if bank.mode == FULL else bank.dim
-    row = ",".join(["%d", "%d"] + ["%.17g"] * (bank.dim + cov_len)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"num_classes={bank.num_classes},dim={bank.dim},mode={bank.mode}\n")
         for st in bank.stats:
-            cells = (st.class_id, st.count) + tuple(st.mean.tolist()) + tuple(np.ravel(st.cov).tolist())
-            fh.write(row % cells)
+            cells = np.concatenate([st.mean, np.ravel(st.cov)])
+            bits, where = np.unique(cells.view(np.int64), return_inverse=True)
+            text = ((FLOAT + ",") * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
+            fh.write("%d,%d,%s\n" % (st.class_id, st.count, ",".join(np.array(text, dtype=object)[where])))
 
 
 def load_bank(path: str) -> CovarianceBank:
     """Read a snapshot written by :func:`save_bank`.
 
-    Every defect raises ``ValueError("<path>: line N: ...")``: a malformed
-    header, a wrong row or cell count, a class id that is not an integer in
-    range or that repeats, a negative count, a non-finite cell, a negative
-    variance, or a full covariance asymmetric beyond 1e-12 * trace.
+    Every defect raises ``ValueError("<path>: line N: ...")``: a byte that
+    is not UTF-8, a malformed header, a wrong row or cell count, a class id
+    that is not an integer in range or that repeats, a negative count, a
+    non-finite cell, a negative variance, or a full covariance asymmetric
+    beyond 1e-12 * trace.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+        try:
+            lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     if not lines:
         raise ValueError(f"{path}: line 1: empty bank file")
     head_no, head = lines[0]

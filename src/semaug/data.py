@@ -135,28 +135,64 @@ def generate(spec: SynthSpec) -> Dataset:
     return Dataset(features=feats, labels=labels, split=np.array(split, dtype=str))
 
 
+FLOAT = "%.17g"  # 17 significant digits: every float64 round-trips bit-exactly
+
+
+def float_cells(n: int) -> str:
+    """The ``%`` template of ``n`` comma-separated :data:`FLOAT` cells."""
+    return ",".join([FLOAT] * n)
+
+
+def write_csv(path, header: list, lines) -> None:
+    """Write a header line, then one CSV line per ``(template, values)``
+    pair, formatted by a single ``%``.  Lines end in ``"\\r\\n"``: the
+    bytes are those ``csv.writer`` writes for the same cells, which are
+    numbers and fixed names it never quotes.  Lines go out as ``lines``
+    yields them, so no file is held in memory."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for template, values in lines:
+            fh.write(template % values)
+            fh.write("\r\n")
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     d = dataset.dim
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label"] + [f"x{i}" for i in range(d)] + ["split"])
-        for label, row, tag in zip(dataset.labels, dataset.features, dataset.split):
-            w.writerow([int(label)] + [format(v, ".17g") for v in row] + [tag])
+    row = "%d," + float_cells(d) + ",%s"
+    write_csv(path, ["label"] + [f"x{i}" for i in range(d)] + ["split"],
+              ((row, (label, *x.tolist(), tag)) for label, x, tag in
+               zip(dataset.labels.tolist(), dataset.features, dataset.split.tolist())))
 
 
 def read_csv_rows(path) -> list[list[str]]:
     """Every row of a CSV file, a blank line as an empty list.  An empty
-    file, or one the csv module rejects (a field over its size limit,
-    say), raises ``ValueError("<path>: line N: ...")``."""
-    with open(path, newline="") as fh:
+    file, one that is not UTF-8, or one the csv module rejects (a field
+    over its size limit, say), raises ``ValueError("<path>: line N: ...")``."""
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     if not rows:
         raise ValueError(f"{path}: line 1: empty file")
     return rows
+
+
+def utf8_error(path) -> ValueError:
+    """The ``ValueError("<path>: line N: ...")`` for a file that does not
+    decode as UTF-8, N being the line of its first undecodable byte.  A
+    newline byte never sits inside a UTF-8 sequence, so the file decodes
+    exactly when each of its lines does."""
+    with open(path, "rb") as fh:
+        for ln, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}: line {ln}: {exc}")
+    raise AssertionError(f"{path}: every line decodes as UTF-8")
 
 
 def data_rows(path, rows: list, width: int):
@@ -172,11 +208,29 @@ def data_rows(path, rows: list, width: int):
             yield ln, row
 
 
+def first_bad_line(path, rows: list, width: int, check) -> None:
+    """Raise ``ValueError("<path>: line N: ...")`` for the first data row
+    that :func:`data_rows` or ``check(fields)`` rejects; ``check`` rejects
+    by raising ``ValueError`` or by returning a message.  A reader that
+    checks its rows as one block calls this only once the block failed,
+    to name the line a row-by-row reader would name."""
+    for ln, row in data_rows(path, rows, width):
+        try:
+            message = check(row)
+        except ValueError as exc:
+            message = str(exc)
+        if message:
+            raise ValueError(f"{path}: line {ln}: {message}")
+    raise AssertionError(f"{path}: the block check failed but every row passes")
+
+
 def read_dataset(path) -> Dataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     Every defect, including a non-finite feature or a label outside
-    [0, 2**63), raises ``ValueError("<path>: line N: ...")``.
+    [0, 2**63), raises ``ValueError("<path>: line N: ...")``.  The feature
+    block is cast to float in one call and checked finite in one call;
+    only a file that fails goes row by row to find its first bad line.
     """
     rows = read_csv_rows(path)
     header = rows[0]
@@ -185,33 +239,35 @@ def read_dataset(path) -> Dataset:
     d = len(header) - 2
     if header[1:-1] != [f"x{i}" for i in range(d)]:
         raise ValueError(f"{path}: line 1: malformed feature columns")
-    labels, feats, split = [], [], []
-    for ln, row in data_rows(path, rows, d + 2):
-        try:
-            label = int(row[0])
-            x = [float(v) for v in row[1:-1]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if not 0 <= label < 2**63:
-            raise ValueError(f"{path}: line {ln}: label {label} outside [0, 2**63)")
-        if not all(math.isfinite(v) for v in x):
-            raise ValueError(f"{path}: line {ln}: non-finite feature")
-        if row[-1] not in (TRAIN, EVAL):
-            raise ValueError(f"{path}: line {ln}: unknown split tag {row[-1]!r}")
-        labels.append(label)
-        feats.append(x)
-        split.append(row[-1])
-    return Dataset(features=np.array(feats), labels=np.array(labels), split=np.array(split))
+    body = [row for row in rows[1:] if row]
+    try:
+        labels = [int(row[0]) for row in body]
+        feats = np.array([row[1:-1] for row in body], dtype=float)
+        split = [row[-1] for row in body]
+        ok = (body and all(len(row) == d + 2 for row in body)
+              and min(labels) >= 0 and max(labels) < 2**63 and np.isfinite(feats).all()
+              and set(split) <= {TRAIN, EVAL})
+    except ValueError:
+        ok = False
+    if not ok:
+        def check(row):
+            label, x = int(row[0]), [float(v) for v in row[1:-1]]
+            if not 0 <= label < 2**63:
+                return f"label {label} outside [0, 2**63)"
+            if not all(map(math.isfinite, x)):
+                return "non-finite feature"
+            if row[-1] not in (TRAIN, EVAL):
+                return f"unknown split tag {row[-1]!r}"
+        first_bad_line(path, rows, d + 2, check)
+    return Dataset(features=feats, labels=np.array(labels), split=np.array(split))
 
 
 def write_embeddings(path, indices, vectors) -> None:
     """Embedding CSV: header 'index,e0,...,e{F-1}', one row per vector."""
     V = np.asarray(vectors, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + [f"e{i}" for i in range(V.shape[1])])
-        for idx, row in zip(indices, V):
-            w.writerow([int(idx)] + [format(v, ".17g") for v in row])
+    row = "%d," + float_cells(V.shape[1])
+    write_csv(path, ["index"] + [f"e{i}" for i in range(V.shape[1])],
+              ((row, (int(idx), *e.tolist())) for idx, e in zip(indices, V)))
 
 
 def read_embeddings(path) -> dict[int, np.ndarray]:
@@ -219,23 +275,33 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
 
     Every defect, including a non-finite value, an index outside
     [0, 2**63) or a repeated index, raises ``ValueError("<path>: line N: ...")``.
+    As in :func:`read_dataset`, the value block is cast and checked at once.
     """
     rows = read_csv_rows(path)
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
-    out: dict[int, np.ndarray] = {}
-    for ln, row in data_rows(path, rows, len(header)):
-        try:
-            idx = int(row[0])
-            e = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if not 0 <= idx < 2**63:
-            raise ValueError(f"{path}: line {ln}: index {idx} outside [0, 2**63)")
-        if idx in out:
-            raise ValueError(f"{path}: line {ln}: duplicate index {idx}")
-        if not all(math.isfinite(v) for v in e):
-            raise ValueError(f"{path}: line {ln}: non-finite value")
-        out[idx] = np.array(e)
-    return out
+    width = len(header)
+    body = [row for row in rows[1:] if row]
+    try:
+        indices = [int(row[0]) for row in body]
+        E = np.array([row[1:] for row in body], dtype=float)
+        ok = (body and all(len(row) == width for row in body)
+              and min(indices) >= 0 and max(indices) < 2**63
+              and len(set(indices)) == len(indices) and np.isfinite(E).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        seen = set()
+
+        def check(row):
+            idx, e = int(row[0]), [float(v) for v in row[1:]]
+            if not 0 <= idx < 2**63:
+                return f"index {idx} outside [0, 2**63)"
+            if idx in seen:
+                return f"duplicate index {idx}"
+            seen.add(idx)
+            if not all(map(math.isfinite, e)):
+                return "non-finite value"
+        first_bad_line(path, rows, width, check)
+    return dict(zip(indices, E))

@@ -10,12 +10,11 @@ reject-all policies are always part of the sweep.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import data_rows, read_csv_rows
+from .data import FLOAT, data_rows, read_csv_rows, write_csv
 from .rng import philox_rng
 
 
@@ -164,11 +163,9 @@ def compute_min_dcf(scoreset: ScoreSet, params: DcfParams | None = None) -> floa
 
 
 def write_trials(path, trials: TrialSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index_a", "index_b", "is_target"])
-        for a, b, t in zip(trials.index_a, trials.index_b, trials.is_target):
-            w.writerow([int(a), int(b), int(t)])
+    write_csv(path, ["index_a", "index_b", "is_target"],
+              (("%d,%d,%d", row) for row in
+               zip(trials.index_a.tolist(), trials.index_b.tolist(), trials.is_target.tolist())))
 
 
 def read_trials(path) -> TrialSet:
@@ -200,11 +197,10 @@ def read_trials(path) -> TrialSet:
 
 
 def write_scores(path, trials: TrialSet, scoreset: ScoreSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index_a", "index_b", "score", "is_target"])
-        for a, b, s, t in zip(trials.index_a, trials.index_b, scoreset.scores, scoreset.is_target):
-            w.writerow([int(a), int(b), format(float(s), ".17g"), int(t)])
+    write_csv(path, ["index_a", "index_b", "score", "is_target"],
+              (("%d,%d," + FLOAT + ",%d", row) for row in
+               zip(trials.index_a.tolist(), trials.index_b.tolist(),
+                   scoreset.scores.tolist(), scoreset.is_target.tolist())))
 
 
 def format_metrics(eer: float, min_dcf: float) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import CovarianceBank
-from .data import Dataset, EVAL, TRAIN, read_csv_rows
+from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
 from .losses import ClassifierHead, LossConfig, variant_loss
 from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
@@ -26,8 +26,8 @@ from .rng import philox_rng
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite loss at iteration {iteration}")
+    def __init__(self, iteration: int, quantity: str = "loss"):
+        super().__init__(f"non-finite {quantity} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -53,8 +53,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not (self.lr_init > 0 and self.lr_final > 0):
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.lr_init < math.inf and 0 < self.lr_final < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
@@ -223,7 +223,12 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 opt.step([g * inv for g in grads], t)
                 t += 1
 
+            # a blow-up in the epoch's last step shows first here
+            if not all(np.isfinite(p).all() for p in params):
+                raise TrainingDivergedError(t, "parameters")
             eval_embs = embedder.forward(X[eval_idx])[0]
+            if not np.isfinite(eval_embs).all():
+                raise TrainingDivergedError(t, "eval embeddings")
             scores = score_trials(eval_embs, trials)
             eer, _ = compute_eer(scores)
             mdcf = compute_min_dcf(scores, settings.dcf)
@@ -248,32 +253,32 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
 
 
 def save_metrics(path, metrics: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "mean_cos_y", "mean_coef", "lambda", "eer", "min_dcf"])
-        for r in metrics:
-            w.writerow([r.epoch] + [format(v, ".17g") for v in
-                                    (r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf)])
+    row = "%d," + float_cells(6)
+    write_csv(path, ["epoch", "loss", "mean_cos_y", "mean_coef", "lambda", "eer", "min_dcf"],
+              ((row, (r.epoch, r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf))
+               for r in metrics))
 
 
 def save_model(path, embedder: TinyEmbedder, head: ClassifierHead) -> None:
     """Layer dump, one CSV line per tensor, 17-significant-digit decimals."""
-    def fmt(arr):
-        return [format(float(v), ".17g") for v in np.asarray(arr).ravel()]
+    def tensor(name, arr):
+        values = np.asarray(arr, dtype=float).ravel().tolist()
+        return name + "," + float_cells(len(values)), tuple(values)
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["semaug-model", 1])
-        w.writerow(["layers"] + [str(s) for s in embedder.layer_sizes])
-        w.writerow(["scale", format(head.scale, ".17g")])
-        w.writerow(["margin", format(head.margin, ".17g")])
-        w.writerow(["head_biases", int(head.biases is not None)])
+    def lines():
+        sizes = embedder.layer_sizes
+        yield "layers" + ",%d" * len(sizes), tuple(sizes)
+        yield "scale," + FLOAT, (head.scale,)
+        yield "margin," + FLOAT, (head.margin,)
+        yield "head_biases,%d", (head.biases is not None,)
         for k, (W, b) in enumerate(zip(embedder.weights, embedder.biases)):
-            w.writerow([f"W{k}"] + fmt(W))
-            w.writerow([f"b{k}"] + fmt(b))
-        w.writerow(["HW"] + fmt(head.weights))
+            yield tensor(f"W{k}", W)
+            yield tensor(f"b{k}", b)
+        yield tensor("HW", head.weights)
         if head.biases is not None:
-            w.writerow(["Hb"] + fmt(head.biases))
+            yield tensor("Hb", head.biases)
+
+    write_csv(path, ["semaug-model", "1"], lines())
 
 
 def load_model(path) -> tuple[TinyEmbedder, ClassifierHead]:

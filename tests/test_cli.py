@@ -88,6 +88,29 @@ def test_train_reports_missing_dataset(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lr,quantity", [("1e308", "parameters"), ("1e300", "eval embeddings")])
+def test_divergence_in_the_last_step_exits_3(tmp_path, capsys, lr, quantity):
+    """One batch per epoch, so the step that blows up is the epoch's last:
+    1e308 overflows the weights themselves, 1e300 only the eval forward."""
+    data = tmp_path / "gen" / "dataset.csv"
+    assert entry(["gen", "--out", str(data.parent), "--set", "data.num_classes=4",
+                  "--set", "data.samples_per_class=10"]) == 0
+    capsys.readouterr()
+    code = entry(["train", "--out", str(tmp_path / "t"), "--set", f"train.dataset={data}",
+                  "--set", f"opt.lr_init={lr}", "--set", "opt.epochs=1"])
+    assert code == 3
+    assert f"numerical failure: non-finite {quantity} at iteration 1" in capsys.readouterr().err
+
+
+def test_infinite_learning_rate_exits_2(tmp_path, capsys):
+    gen_out = run_gen(tmp_path)
+    code = entry(["train", "--out", str(tmp_path / "t"), *TINY_TRAIN, "--set", "opt.lr_init=inf",
+                  "--set", f"train.dataset={gen_out / 'dataset.csv'}"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_compare_trains_every_variant_per_seed(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = entry(["compare", "--out", str(out), *TINY_TRAIN,

@@ -329,6 +329,27 @@ def test_save_bank_is_byte_identical_to_the_per_cell_writer(tmp_path, mode):
     assert ",-0," in a.read_text() and ",1e-300," in a.read_text()
 
 
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_save_bank_matches_the_per_cell_writer_at_f64(tmp_path, mode):
+    """At the benchmark's F = 64, a symmetric bank written through the
+    distinct-cell path, with signed zeros, subnormals and repeats mixed in."""
+    rng = philox_rng(112)
+    bank = CovarianceBank(4, 64, mode)
+    bank.update(rng.standard_normal((60, 64)) * 10.0 ** rng.integers(-6, 6, (60, 1)),
+                np.arange(60) % 3)  # class 3 stays empty
+    st = bank.stats[2]
+    st.mean[:8] = [-0.0, 0.0, 5e-324, 1e16, 1e17, 1e-5, 1e-4, 2.0]
+    if mode == FULL:
+        st.cov[0, 1:5] = st.cov[1:5, 0] = [-0.0, 5e-324, 1e17, 1e-4]
+        st.cov[5, 6] = -st.cov[6, 5]  # one asymmetric pair
+    else:
+        st.cov[:4] = [0.0, -0.0, 5e-324, 2.0]
+    a, b = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    save_bank(bank, a)
+    save_bank_per_cell(bank, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_bank_snapshot_header_and_shape_errors(tmp_path):
     path = tmp_path / "bank.csv"
     path.write_text("")

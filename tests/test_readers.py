@@ -1,5 +1,7 @@
 """Every file reader returns a valid object or raises ValueError naming the
-path and line: targeted defects, then hypothesis fuzzing of written files."""
+path and line: targeted defects, then hypothesis fuzzing of written files
+(raw bytes that are not UTF-8 included), then the block readers of dataset
+and embedding files against the row-by-row readers they replaced."""
 
 import math
 import re
@@ -9,8 +11,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semaug.cli import entry
+from semaug.config import REGISTRY, parse_config_file, resolve, serialize
 from semaug.covariance import DIAGONAL, FULL, CovarianceBank, load_bank, save_bank
-from semaug.data import SynthSpec, generate, read_dataset, read_embeddings, write_dataset, write_embeddings
+from semaug.data import (
+    EVAL,
+    TRAIN,
+    Dataset,
+    SynthSpec,
+    data_rows,
+    generate,
+    read_csv_rows,
+    read_dataset,
+    read_embeddings,
+    write_dataset,
+    write_embeddings,
+)
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead
 from semaug.metrics import TrialSet, read_trials, write_trials
@@ -54,6 +69,10 @@ def trials_text(tmp_path):
     path = tmp_path / "written_trials.csv"
     write_trials(path, TrialSet(index_a=[0, 0, 3], index_b=[3, 7, 7], is_target=[True, False, False]))
     return path.read_text()
+
+
+def config_text(tmp_path):
+    return serialize(resolve())
 
 
 def set_cell(text, line, cell, value):
@@ -235,7 +254,8 @@ def check_trials(trials):
 
 CELLS = st.one_of(
     st.sampled_from(["", "nan", "-inf", "1e400", "-1", "-0", "0", "1", "2", "3", "0.5",
-                     "99999999999999999999999", "x", "=", "mode=full", "dim=2"]),
+                     "99999999999999999999999", "x", "=", "mode=full", "dim=2",
+                     "1_0", "1__0", "\u0661", "0x1p3", "5e-324", "1e-400", " 2 ", "infinity"]),
     st.text(max_size=6),
 )
 
@@ -275,50 +295,211 @@ def mutated(draw, text):
     return "\n".join(lines)
 
 
+@st.composite
+def mutated_bytes(draw, text):
+    """A :func:`mutated` file as bytes, with up to two runs of raw bytes
+    dropped in at random offsets, which often leave it no longer UTF-8."""
+    data = draw(mutated(text)).encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.binary(min_size=1, max_size=2)) + data[i:]
+    return data
+
+
+def first_undecodable_line(data):
+    """1-based line of the first byte that is not UTF-8, or None."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def fuzz_reader(reader, check, path, text):
-    path.write_text(text, encoding="utf-8")
+def fuzz_reader(reader, check, path, data):
+    path.write_bytes(data)
+    bad_line = first_undecodable_line(data)
     try:
         loaded = reader(path)
     except ValueError as exc:
         assert re.match(re.escape(f"{path}: line ") + r"\d+: ", str(exc)), str(exc)
+        if bad_line is not None:
+            assert str(exc).startswith(f"{path}: line {bad_line}: "), str(exc)
     else:
+        assert bad_line is None
         check(loaded)
 
 
 @FUZZ
 @given(data=st.data(), mode=st.sampled_from([FULL, DIAGONAL]))
 def test_fuzzed_bank_files_load_or_name_the_line(tmp_path, data, mode):
-    text = data.draw(mutated(bank_text(mode, tmp_path)))
-    fuzz_reader(load_bank, check_bank, tmp_path / "bank.csv", text)
+    raw = data.draw(mutated_bytes(bank_text(mode, tmp_path)))
+    fuzz_reader(load_bank, check_bank, tmp_path / "bank.csv", raw)
 
 
 @FUZZ
 @given(data=st.data(), biases=st.booleans())
 def test_fuzzed_model_files_load_or_name_the_line(tmp_path, data, biases):
-    text = data.draw(mutated(model_text(tmp_path, biases)))
-    fuzz_reader(load_model, check_model, tmp_path / "model.csv", text)
+    raw = data.draw(mutated_bytes(model_text(tmp_path, biases)))
+    fuzz_reader(load_model, check_model, tmp_path / "model.csv", raw)
 
 
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_dataset_files_load_or_name_the_line(tmp_path, data):
-    text = data.draw(mutated(dataset_text(tmp_path)))
-    fuzz_reader(read_dataset, check_dataset, tmp_path / "data.csv", text)
+    raw = data.draw(mutated_bytes(dataset_text(tmp_path)))
+    fuzz_reader(read_dataset, check_dataset, tmp_path / "data.csv", raw)
 
 
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_embedding_files_load_or_name_the_line(tmp_path, data):
-    text = data.draw(mutated(embeddings_text(tmp_path)))
-    fuzz_reader(read_embeddings, check_embeddings, tmp_path / "emb.csv", text)
+    raw = data.draw(mutated_bytes(embeddings_text(tmp_path)))
+    fuzz_reader(read_embeddings, check_embeddings, tmp_path / "emb.csv", raw)
 
 
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_trial_files_load_or_name_the_line(tmp_path, data):
-    text = data.draw(mutated(trials_text(tmp_path)))
-    fuzz_reader(read_trials, check_trials, tmp_path / "trials.csv", text)
+    raw = data.draw(mutated_bytes(trials_text(tmp_path)))
+    fuzz_reader(read_trials, check_trials, tmp_path / "trials.csv", raw)
+
+
+def check_config(values):
+    assert set(values) <= set(REGISTRY)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_files_parse_or_name_the_line(tmp_path, data):
+    raw = data.draw(mutated_bytes(config_text(tmp_path)))
+    fuzz_reader(parse_config_file, check_config, tmp_path / "run.config", raw)
+
+
+# -- non-UTF-8 input -------------------------------------------------------------
+
+
+READERS = [
+    (read_dataset, dataset_text),
+    (read_embeddings, embeddings_text),
+    (read_trials, trials_text),
+    (load_model, lambda tmp_path: model_text(tmp_path, biases=True)),
+    (load_bank, lambda tmp_path: bank_text(FULL, tmp_path)),
+    (parse_config_file, config_text),
+]
+
+
+@pytest.mark.parametrize("reader,text", READERS)
+def test_non_utf8_byte_names_path_and_line(tmp_path, reader, text):
+    lines = text(tmp_path).encode("utf-8").split(b"\n")
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(lines[:2] + [lines[2][:3] + b"\xff" + lines[2][3:]] + lines[3:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*can't decode byte 0xff"):
+        reader(path)
+    # a multi-byte sequence cut short by the end of the file
+    path.write_bytes(b"\n".join(lines[:3]) + b"\n\xc3")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ") + ".*unexpected end of data"):
+        reader(path)
+
+
+def test_cli_exits_2_naming_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    cfg = tmp_path / "bad.config"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    assert entry(["gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+    assert f"{cfg}: line 2: " in capsys.readouterr().err
+    data = tmp_path / "bad.csv"
+    data.write_bytes(dataset_text(tmp_path).encode("utf-8").replace(b"train", b"tr\xffin", 2))
+    assert entry(["train", "--out", str(tmp_path / "t"), "--set", f"train.dataset={data}"]) == 2
+    assert f"{data}: line 2: " in capsys.readouterr().err
+
+
+# -- block readers against the row-by-row readers --------------------------------
+
+
+def read_dataset_per_row(path):
+    """Oracle: the row-by-row reader that read_dataset replaced."""
+    rows = read_csv_rows(path)
+    header = rows[0]
+    if len(header) < 3 or header[0] != "label" or header[-1] != "split":
+        raise ValueError(f"{path}: line 1: expected header 'label,x0,...,split'")
+    d = len(header) - 2
+    if header[1:-1] != [f"x{i}" for i in range(d)]:
+        raise ValueError(f"{path}: line 1: malformed feature columns")
+    labels, feats, split = [], [], []
+    for ln, row in data_rows(path, rows, d + 2):
+        try:
+            label = int(row[0])
+            x = [float(v) for v in row[1:-1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {ln}: {exc}") from None
+        if not 0 <= label < 2**63:
+            raise ValueError(f"{path}: line {ln}: label {label} outside [0, 2**63)")
+        if not all(math.isfinite(v) for v in x):
+            raise ValueError(f"{path}: line {ln}: non-finite feature")
+        if row[-1] not in (TRAIN, EVAL):
+            raise ValueError(f"{path}: line {ln}: unknown split tag {row[-1]!r}")
+        labels.append(label)
+        feats.append(x)
+        split.append(row[-1])
+    return Dataset(features=np.array(feats), labels=np.array(labels), split=np.array(split))
+
+
+def read_embeddings_per_row(path):
+    """Oracle: the row-by-row reader that read_embeddings replaced."""
+    rows = read_csv_rows(path)
+    header = rows[0]
+    if len(header) < 2 or header[0] != "index":
+        raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
+    out = {}
+    for ln, row in data_rows(path, rows, len(header)):
+        try:
+            idx = int(row[0])
+            e = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {ln}: {exc}") from None
+        if not 0 <= idx < 2**63:
+            raise ValueError(f"{path}: line {ln}: index {idx} outside [0, 2**63)")
+        if idx in out:
+            raise ValueError(f"{path}: line {ln}: duplicate index {idx}")
+        if not all(math.isfinite(v) for v in e):
+            raise ValueError(f"{path}: line {ln}: non-finite value")
+        out[idx] = np.array(e)
+    return out
+
+
+def outcome(reader, path):
+    try:
+        return reader(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_dataset_agrees_with_the_row_reader(tmp_path, data):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data.draw(mutated_bytes(dataset_text(tmp_path))))
+    (got, err), (want, want_err) = outcome(read_dataset, path), outcome(read_dataset_per_row, path)
+    assert err == want_err
+    if want is not None:
+        assert same_bits(got.features, want.features)
+        assert got.labels.tolist() == want.labels.tolist() and got.split.tolist() == want.split.tolist()
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_embeddings_agrees_with_the_row_reader(tmp_path, data):
+    path = tmp_path / "emb.csv"
+    path.write_bytes(data.draw(mutated_bytes(embeddings_text(tmp_path))))
+    (got, err), (want, want_err) = outcome(read_embeddings, path), outcome(read_embeddings_per_row, path)
+    assert err == want_err
+    if want is not None:
+        assert list(got) == list(want)
+        assert all(same_bits(got[k], want[k]) for k in want)

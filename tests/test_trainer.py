@@ -271,6 +271,11 @@ def test_settings_validation():
         TrainSettings(epochs=0)
     with pytest.raises(ValueError):
         TrainSettings(lr_init=0.0)
+    for lr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TrainSettings(lr_init=lr)
+        with pytest.raises(ValueError, match="finite"):
+            TrainSettings(lr_final=lr)
     with pytest.raises(ValueError):
         TrainSettings(momentum=1.0)
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation or usage error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -31,7 +30,7 @@ from .config import (
     write_config,
 )
 from .covariance import DegenerateCovarianceError, save_bank
-from .data import generate, read_dataset, read_embeddings, write_dataset, write_embeddings
+from .data import FLOAT, float_cells, generate, read_dataset, read_embeddings, write_csv, write_dataset, write_embeddings
 from .metrics import compute_eer, compute_min_dcf, format_metrics, read_trials, score_trials, write_scores, write_trials
 from .suites import composed_gradcheck, gradcheck_suite, jensen_suite, jensen_suite_passes
 from .trainer import TrainingDivergedError, save_metrics, save_model, train
@@ -126,20 +125,17 @@ def cmd_compare(cfg: dict, args) -> int:
     except ValueError:
         raise ConfigError(f"bad compare.seeds: {cfg['compare.seeds']!r}") from None
     out = _outdir(cfg)
-    rows = []
+    row = "%s,%s,%s," + FLOAT + ",%d," + float_cells(2)
+    lines = []
     for seed in seeds:
         ds = generate(to_synth_spec({**cfg, "seed": seed}))
         for v in variants:
             lc = to_loss_config(cfg, variant=v)
             run = train(ds, lc, to_train_settings(cfg, seed=seed))
-            rows.append([v, lc.difficulty, lc.strength_mode,
-                         format(cfg["loss.lambda0"], ".17g"), seed,
-                         format(run.final_eer, ".17g"), format(run.final_min_dcf, ".17g")])
+            lines.append((row, (v, lc.difficulty, lc.strength_mode, cfg["loss.lambda0"], seed,
+                                run.final_eer, run.final_min_dcf)))
     path = os.path.join(out, "compare.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"])
-        w.writerows(rows)
+    write_csv(path, ["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"], lines)
     write_config(os.path.join(out, "compare.config"), cfg)
     print(path)
     return 0
@@ -149,14 +145,10 @@ def cmd_bound_check(cfg: dict, args) -> int:
     results = jensen_suite(cfg["bound.trials"], cfg["bound.samples"], cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "bound_check.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "variant", "lambda", "M", "mc_mean", "se", "bound", "slack", "z_score"])
-        for r in results:
-            w.writerow([r.trial, r.family, format(r.lam, ".17g"), r.report.samples] +
-                       [format(v, ".17g") for v in
-                        (r.report.mean, r.report.std_error, r.report.bound_value,
-                         r.report.slack, r.report.z_score)])
+    row = "%d,%s," + FLOAT + ",%d," + float_cells(5)
+    write_csv(path, ["trial", "variant", "lambda", "M", "mc_mean", "se", "bound", "slack", "z_score"],
+              ((row, (r.trial, r.family, r.lam, r.report.samples, r.report.mean, r.report.std_error,
+                      r.report.bound_value, r.report.slack, r.report.z_score)) for r in results))
     write_config(os.path.join(out, "bound_check.config"), cfg)
     if not jensen_suite_passes(results):
         for r in results:
@@ -174,13 +166,9 @@ def cmd_grad_check(cfg: dict, args) -> int:
     results += composed_gradcheck(cfg["grad.composed_trials"], cfg["grad.epsilon"], cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "grad_check.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "variant", "trial", "epsilon", "max_rel_error"])
-        for r in results:
-            w.writerow([r.kind, r.variant, r.trial,
-                        format(cfg["grad.epsilon"], ".17g"),
-                        format(r.max_rel_error, ".17g")])
+    row = "%s,%s,%d," + float_cells(2)
+    write_csv(path, ["kind", "variant", "trial", "epsilon", "max_rel_error"],
+              ((row, (r.kind, r.variant, r.trial, cfg["grad.epsilon"], r.max_rel_error)) for r in results))
     write_config(os.path.join(out, "grad_check.config"), cfg)
     bad = [r for r in results if not r.max_rel_error < GRAD_THRESHOLD]
     if bad:

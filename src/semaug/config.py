@@ -114,13 +114,22 @@ def _build(cls, cfg: dict, **extra):
 
 
 def parse_value(key: str, raw: str):
+    """The value of ``key`` parsed from ``raw``.  A key that sets a field
+    is checked by building its dataclass with that field alone, so a
+    value out of range fails here, naming the key."""
     if key not in REGISTRY:
         raise ConfigError(f"unknown config key {key!r}")
     parser, _ = REGISTRY[key]
     try:
-        return parser(raw.strip())
+        value = parser(raw.strip())
+        if key in FIELDS:
+            _, cls, name = FIELDS[key]
+            cls(**{name: _FORMS[key][0]({key: value}) if key in _FORMS else value})
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    return value
 
 
 def parse_config_file(path) -> dict:

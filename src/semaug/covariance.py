@@ -9,11 +9,12 @@ Cholesky factors used to draw explicitly augmented embeddings.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FLOAT, utf8_error
+from .data import FLOAT, read_csv_rows
 
 FULL = "full"
 DIAGONAL = "diagonal"
@@ -193,7 +194,8 @@ def save_bank(bank: CovarianceBank, path: str) -> None:
 
 
 def load_bank(path: str) -> CovarianceBank:
-    """Read a snapshot written by :func:`save_bank`.
+    """Read a snapshot written by :func:`save_bank`, split into rows by
+    ``data.read_csv_rows``; blank and whitespace-only lines are skipped.
 
     Every defect raises ``ValueError("<path>: line N: ...")``: a byte that
     is not UTF-8, a malformed header, a wrong row or cell count, a class id
@@ -201,29 +203,27 @@ def load_bank(path: str) -> CovarianceBank:
     non-finite cell, a negative variance, or a full covariance asymmetric
     beyond 1e-12 * trace.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+    # A line is blank when it holds no comma and only whitespace.
+    rows = read_csv_rows(path) if os.path.getsize(path) else []
+    lines = [(n, row) for n, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
     if not lines:
         raise ValueError(f"{path}: line 1: empty bank file")
     head_no, head = lines[0]
     try:
-        header = dict(item.split("=", 1) for item in head.split(","))
+        header = dict(item.split("=", 1) for item in head)
         num_classes = int(header["num_classes"])
         dim = int(header["dim"])
         mode = header["mode"]
     except (KeyError, ValueError):
         num_classes = dim = mode = None
     if num_classes is None or num_classes < 1 or dim < 1 or mode not in (FULL, DIAGONAL):
-        raise ValueError(f"{path}: line {head_no}: malformed bank header {head!r}")
+        raise ValueError(f"{path}: line {head_no}: malformed bank header {','.join(head)!r}")
     if len(lines) - 1 != num_classes:
         # blame the first surplus row, or the line after the last one
         n = lines[num_classes + 1][0] if len(lines) - 1 > num_classes else lines[-1][0] + 1
         raise ValueError(f"{path}: line {n}: expected {num_classes} rows, found {len(lines) - 1}")
     cov_len = dim * dim if mode == FULL else dim
-    rows = [(n, ln.split(",")) for n, ln in lines[1:]]
+    rows = lines[1:]
     # Cell counts are checked before the bank is allocated, so a header
     # that claims a huge geometry cannot allocate more than the file holds.
     for n, cells in rows:

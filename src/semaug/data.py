@@ -1,5 +1,9 @@
 """Synthetic multi-class datasets with a controllable difficulty knob,
-plus the dataset and embedding CSV formats.
+plus every CSV table format: the dialect and the 17-digit float cell of
+each table the package writes (:func:`open_csv`) or reads
+(:func:`read_csv_rows`) live here alone.  The one exception is the
+``bank.csv`` writer, ``covariance.save_bank``, whose ``\\n`` line ends and
+``key=value`` header ``bench/checks.py`` parses.
 
 Class centers are drawn uniformly on the unit sphere; a configurable
 fraction of center pairs is then re-placed at a small angular separation
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,17 +148,28 @@ def float_cells(n: int) -> str:
     return ",".join([FLOAT] * n)
 
 
-def write_csv(path, header: list, lines) -> None:
-    """Write a header line, then one CSV line per ``(template, values)``
-    pair, formatted by a single ``%``.  Lines end in ``"\\r\\n"``: the
-    bytes are those ``csv.writer`` writes for the same cells, which are
-    numbers and fixed names it never quotes.  Lines go out as ``lines``
-    yields them, so no file is held in memory."""
+@contextmanager
+def open_csv(path, header: list):
+    """Create ``path``, write its header line and hand back ``write(lines)``,
+    which writes one line per ``(template, values)`` pair of ``lines`` as
+    it comes, formatted by a single ``%`` and ended by ``"\\r\\n"``: the
+    bytes ``csv.writer`` writes for the same cells, numbers and fixed
+    names it never quotes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for template, values in lines:
-            fh.write(template % values)
-            fh.write("\r\n")
+
+        def write(lines) -> None:
+            for template, values in lines:
+                fh.write(template % values)
+                fh.write("\r\n")
+
+        yield write
+
+
+def write_csv(path, header: list, lines) -> None:
+    """Write the header and ``lines`` through :func:`open_csv`, never a whole file in memory."""
+    with open_csv(path, header) as write:
+        write(lines)
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FLOAT, data_rows, read_csv_rows, write_csv
+from .data import FLOAT, first_bad_line, read_csv_rows, write_csv
 from .rng import philox_rng
 
 
@@ -173,27 +173,31 @@ def read_trials(path) -> TrialSet:
 
     Every defect, including an index outside [0, 2**63), a trial that
     pairs an index with itself or an ``is_target`` other than 0 or 1,
-    raises ``ValueError("<path>: line N: ...")``.
+    raises ``ValueError("<path>: line N: ...")``.  The block is cast to
+    int64 in one call and checked at once; only a file that fails goes row
+    by row, to find its first bad line.
     """
-    ia, ib, tg = [], [], []
     rows = read_csv_rows(path)
     if rows[0] != ["index_a", "index_b", "is_target"]:
         raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
-    for ln, row in data_rows(path, rows, 3):
-        try:
+    body = [row for row in rows[1:] if row]
+    try:
+        T = np.array(body, dtype=np.int64)
+        ok = (body and T.shape[1] == 3 and (T[:, :2] >= 0).all() and (T[:, 0] != T[:, 1]).all()
+              and ((T[:, 2] == 0) | (T[:, 2] == 1)).all())
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        def check(row):
             a, b, t = int(row[0]), int(row[1]), int(row[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {ln}: {exc}") from None
-        if not (0 <= a < 2**63 and 0 <= b < 2**63):
-            raise ValueError(f"{path}: line {ln}: index outside [0, 2**63)")
-        if a == b:
-            raise ValueError(f"{path}: line {ln}: trial pairs index {a} with itself")
-        if t not in (0, 1):
-            raise ValueError(f"{path}: line {ln}: is_target must be 0 or 1, got {t}")
-        ia.append(a)
-        ib.append(b)
-        tg.append(t == 1)
-    return TrialSet(index_a=np.array(ia), index_b=np.array(ib), is_target=np.array(tg))
+            if not (0 <= a < 2**63 and 0 <= b < 2**63):
+                return "index outside [0, 2**63)"
+            if a == b:
+                return f"trial pairs index {a} with itself"
+            if t not in (0, 1):
+                return f"is_target must be 0 or 1, got {t}"
+        first_bad_line(path, rows, 3, check)
+    return TrialSet(index_a=T[:, 0], index_b=T[:, 1], is_target=T[:, 2] == 1)
 
 
 def write_scores(path, trials: TrialSet, scoreset: ScoreSet) -> None:

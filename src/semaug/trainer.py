@@ -11,14 +11,14 @@ per-epoch evaluation embeds every eval row in one forward.
 
 from __future__ import annotations
 
-import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .covariance import CovarianceBank
-from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, read_csv_rows, write_csv
+from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, open_csv, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
 from .losses import ClassifierHead, LossConfig, variant_loss
 from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
@@ -174,13 +174,6 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     trials = build_trials(y[eval_idx], settings.max_nontarget_per_target,
                           (settings.seed, 3))
 
-    diag = None
-    diag_file = None
-    if settings.diagnostics_path is not None:
-        diag_file = open(settings.diagnostics_path, "w", newline="")
-        diag = csv.writer(diag_file)
-        diag.writerow(["iteration", "sample_id", "cos_y", "coef", "lambda", "loss"])
-
     def stats_allowed(t: int) -> bool:
         if not settings.stats_after_deferred_only:
             return True
@@ -189,7 +182,10 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     metrics = []
     eval_embs = None
     t = 0
-    try:
+    diag_row = "%d,%d," + float_cells(4)
+    # opened before the first step, so a bad path fails before any training
+    with (nullcontext() if settings.diagnostics_path is None else
+          open_csv(settings.diagnostics_path, ["iteration", "sample_id", "cos_y", "coef", "lambda", "loss"])) as diag:
         for epoch in range(settings.epochs):
             order = shuffle_rng.permutation(train_idx)
             ep_loss = ep_cos = ep_coef = ep_lam = 0.0
@@ -210,9 +206,9 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 ep_coef += float(per["coef"].sum())
                 ep_lam += float(per["lambda"].sum())
                 if diag is not None:
-                    diag.writerows([t, i] + [format(v, ".17g") for v in row] for i, *row in
-                                   zip(batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
-                                       per["lambda"].tolist(), out.value.tolist()))
+                    diag((diag_row, (t, *row)) for row in
+                         zip(batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
+                             per["lambda"].tolist(), out.value.tolist()))
                 grads = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
                 grads.append(out.grad_weights)
                 if head.biases is not None:
@@ -242,9 +238,6 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 if not math.isfinite(v):
                     raise TrainingDivergedError(t)
             metrics.append(row)
-    finally:
-        if diag_file is not None:
-            diag_file.close()
 
     return TrainRun(embedder=embedder, head=head, bank=bank, config=cfg,
                     metrics=metrics, total_iters=total_iters,

@@ -3,6 +3,7 @@ constructors that turn a flat config into component settings."""
 
 import pytest
 
+from semaug.cli import entry
 from semaug.config import (
     REGISTRY,
     ConfigError,
@@ -52,6 +53,24 @@ def test_typed_parsing_and_bad_values():
         parse_value("opt.epochs", "twelve")
     with pytest.raises(ConfigError, match="nan"):
         parse_value("opt.lr_init", "nan")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("data.num_classes", "1", "num_classes must be >= 2, got 1"),
+    ("loss.gamma", "0", "gamma must be positive, got 0.0"),
+    ("opt.lr_init", "inf", "learning rates must be positive and finite"),
+    ("eval.p_target", "1.5", "p_target must be in (0, 1), got 1.5"),
+    ("model.hidden", "8,x", "'8,x'"),
+])
+def test_a_value_its_dataclass_rejects_names_key_and_source(tmp_path, capsys, key, value, message):
+    expected = f"bad value for {key!r}: {message}"
+    assert entry(["gen", "--out", str(tmp_path / "g"), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    path = tmp_path / "run.config"
+    path.write_text(f"seed = 1\n{key} = {value}\n")
+    assert entry(["gen", "--out", str(tmp_path / "g"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: {expected}\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_config_file_round_trip_is_exact(tmp_path):

@@ -1,7 +1,7 @@
 """Every file reader returns a valid object or raises ValueError naming the
 path and line: targeted defects, then hypothesis fuzzing of written files
-(raw bytes that are not UTF-8 included), then the block readers of dataset
-and embedding files against the row-by-row readers they replaced."""
+(raw bytes that are not UTF-8 included), then the block readers of dataset,
+embedding and trial files against the row-by-row readers they replaced."""
 
 import math
 import re
@@ -117,6 +117,22 @@ def test_load_bank_diagonal_and_header_defects(tmp_path):
     expect_line(load_bank, path, set_cell(text, 1, 2, "mode=sparse"), 1, "malformed bank header")
     expect_line(load_bank, path, text + "0,1,0,0,0,0\n", 5, "expected 3 rows, found 4")
     expect_line(load_bank, path, "\n".join(text.split("\n")[:3]), 4, "expected 3 rows, found 2")
+
+
+def test_load_bank_blank_lines(tmp_path):
+    path = tmp_path / "bank.csv"
+    text = bank_text(DIAGONAL, tmp_path)
+    expect_line(load_bank, path, "", 1, "empty bank file")
+    expect_line(load_bank, path, "\n \n\t\n", 1, "empty bank file")
+    lines = text.split("\n")
+    path.write_text("\n".join(lines[:2] + ["  ", "\t"] + lines[2:]))
+    want = load_bank(tmp_path / "written_bank.csv")
+    got = load_bank(path)
+    for g, w in zip(got.stats, want.stats):
+        assert (g.class_id, g.count) == (w.class_id, w.count)
+        assert g.mean.tobytes() == w.mean.tobytes() and g.cov.tobytes() == w.cov.tobytes()
+    # a line of commas and spaces is not blank: it is a row with too few cells
+    expect_line(load_bank, path, "\n".join(lines[:2] + [" , "] + lines[3:]), 3, "expected 6 cells, got 2")
 
 
 def check_bank(bank):
@@ -470,6 +486,29 @@ def read_embeddings_per_row(path):
     return out
 
 
+def read_trials_per_row(path):
+    """Oracle: the row-by-row reader that read_trials replaced."""
+    ia, ib, tg = [], [], []
+    rows = read_csv_rows(path)
+    if rows[0] != ["index_a", "index_b", "is_target"]:
+        raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
+    for ln, row in data_rows(path, rows, 3):
+        try:
+            a, b, t = int(row[0]), int(row[1]), int(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {ln}: {exc}") from None
+        if not (0 <= a < 2**63 and 0 <= b < 2**63):
+            raise ValueError(f"{path}: line {ln}: index outside [0, 2**63)")
+        if a == b:
+            raise ValueError(f"{path}: line {ln}: trial pairs index {a} with itself")
+        if t not in (0, 1):
+            raise ValueError(f"{path}: line {ln}: is_target must be 0 or 1, got {t}")
+        ia.append(a)
+        ib.append(b)
+        tg.append(t == 1)
+    return TrialSet(index_a=np.array(ia), index_b=np.array(ib), is_target=np.array(tg))
+
+
 def outcome(reader, path):
     try:
         return reader(path), None
@@ -503,3 +542,29 @@ def test_read_embeddings_agrees_with_the_row_reader(tmp_path, data):
     if want is not None:
         assert list(got) == list(want)
         assert all(same_bits(got[k], want[k]) for k in want)
+
+
+@st.composite
+def trial_tables(draw):
+    """Trial files of a few rows of random cells, mostly valid, so that
+    valid files, self-pairs, targets other than 0 or 1, negative and
+    int64-overflowing indices and ragged rows are all common."""
+    index = st.one_of(st.integers(0, 4).map(str),
+                      st.sampled_from(["-1", str(2**63 - 1), str(2**63), "1_0", " 2 ", "x"]))
+    target = st.sampled_from(["0", "1"]) | st.sampled_from(["-1", "2", "01", "x"])
+    row = st.tuples(index, index, target).map(list) | st.lists(index, max_size=4)
+    rows = draw(st.lists(row, max_size=5))
+    return "".join(",".join(row) + "\r\n" for row in [["index_a", "index_b", "is_target"]] + rows).encode()
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_trials_agrees_with_the_row_reader(tmp_path, data):
+    path = tmp_path / "trials.csv"
+    path.write_bytes(data.draw(st.one_of(mutated_bytes(trials_text(tmp_path)), trial_tables())))
+    (got, err), (want, want_err) = outcome(read_trials, path), outcome(read_trials_per_row, path)
+    assert err == want_err
+    if want is not None:
+        for name in ("index_a", "index_b", "is_target"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()

@@ -1,20 +1,29 @@
 """The CSV writers against the per-cell writers they replaced: the same
-bytes for every float, signed zeros, subnormals and the values at which
-17-digit 'g' formatting switches between fixed and exponent form included.
-The per-cell writers below are kept as oracles: ``csv.writer`` with one
-``format(v, ".17g")`` call per cell."""
+bytes for every float, signed zeros, subnormals, infinities and the values
+at which 17-digit 'g' formatting switches between fixed and exponent form
+included.  The per-cell writers below are kept as oracles: ``csv.writer``
+with one ``format(v, ".17g")`` call per cell.  The result tables of
+``compare``, ``bound-check`` and ``grad-check`` and the trainer's
+diagnostics are written through the commands themselves, with the
+numbers they format swapped for chosen ones."""
 
 import csv
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from semaug.data import Dataset, SynthSpec, generate, write_dataset, write_embeddings
+from semaug import cli, trainer
+from semaug.cli import entry
+from semaug.data import TRAIN, Dataset, SynthSpec, generate, write_dataset, write_embeddings
 from semaug.embedder import TinyEmbedder
-from semaug.losses import ClassifierHead
+from semaug.losses import ClassifierHead, LossConfig
 from semaug.metrics import ScoreSet, TrialSet, write_scores, write_trials
+from semaug.montecarlo import McReport
 from semaug.rng import philox_rng
-from semaug.trainer import MetricsRow, save_metrics, save_model
+from semaug.suites import BOUND_FAMILIES, BoundTrial, GradTrial
+from semaug.trainer import MetricsRow, TrainingDivergedError, TrainSettings, save_metrics, save_model, train
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, -1e17, 1e-5, 1e-4, -1e-4, 1e-300,
            1.0, 3.0, -2.0, 2.0**53, 2.0**53 + 2, 123456789012345678.0, 0.1, 1 / 3]
@@ -143,3 +152,146 @@ def test_write_scores_and_trials_match_the_per_cell_writers(tmp_path):
 def test_save_metrics_matches_the_per_cell_writer(tmp_path):
     rows = [MetricsRow(epoch, *v) for epoch, v in enumerate(floats(11, (4, 6)).tolist())]
     same_bytes(tmp_path, save_metrics, save_metrics_per_cell, rows)
+
+
+# -- result tables and diagnostics: the per-cell writers of the commands --------
+
+
+def write_compare_per_cell(path, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"])
+        w.writerows([v, difficulty, strength, format(lambda0, ".17g"), seed,
+                     format(eer, ".17g"), format(min_dcf, ".17g")]
+                    for v, difficulty, strength, lambda0, seed, eer, min_dcf in rows)
+
+
+def write_bound_check_per_cell(path, results):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["trial", "variant", "lambda", "M", "mc_mean", "se", "bound", "slack", "z_score"])
+        for r in results:
+            w.writerow([r.trial, r.family, format(r.lam, ".17g"), r.report.samples] +
+                       [format(v, ".17g") for v in
+                        (r.report.mean, r.report.std_error, r.report.bound_value,
+                         r.report.slack, r.report.z_score)])
+
+
+def write_grad_check_per_cell(path, results, epsilon):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["kind", "variant", "trial", "epsilon", "max_rel_error"])
+        for r in results:
+            w.writerow([r.kind, r.variant, r.trial, format(epsilon, ".17g"), format(r.max_rel_error, ".17g")])
+
+
+def write_diagnostics_per_cell(path, steps):
+    """``steps``: (iteration, sample ids, cos_y, coef, lambda, loss) per training step."""
+    with open(path, "w", newline="") as fh:
+        diag = csv.writer(fh)
+        diag.writerow(["iteration", "sample_id", "cos_y", "coef", "lambda", "loss"])
+        for t, batch, *columns in steps:
+            diag.writerows([t, i] + [format(v, ".17g") for v in row] for i, *row in
+                           zip(batch.tolist(), *(c.tolist() for c in columns)))
+
+
+def same_file(path, oracle, *args):
+    """The file a command wrote has the bytes of the oracle's file."""
+    reference = path.parent / "reference.csv"
+    oracle(reference, *args)
+    assert path.read_bytes() == reference.read_bytes()
+    return path.read_bytes().decode()
+
+
+def test_compare_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    values = iter(floats(12, 18).tolist())
+    runs = []
+
+    def fake_train(dataset, loss_config, settings):
+        run = SimpleNamespace(final_eer=next(values), final_min_dcf=next(values))
+        runs.append((loss_config, settings.seed, run))
+        return run
+
+    monkeypatch.setattr(cli, "generate", lambda spec: None)
+    monkeypatch.setattr(cli, "train", fake_train)
+    out = tmp_path / "cmp"
+    assert entry(["compare", "--out", str(out), "--set", "compare.variants=softmax,daam,dasa",
+                  "--set", "compare.seeds=0,3,11", "--set", "loss.lambda0=1e-05"]) == 0
+    rows = [(lc.variant, lc.difficulty, lc.strength_mode, 1e-05, seed, run.final_eer, run.final_min_dcf)
+            for lc, seed, run in runs]
+    assert len(rows) == 9
+    assert same_file(out / "compare.csv", write_compare_per_cell, rows).count("\r\n") == 10
+
+
+def test_bound_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    cells = floats(13, (24, 5))
+    cells[:4, 4] = [math.inf, -math.inf, -0.0, 5e-324]
+    results = [BoundTrial(trial=k, family=BOUND_FAMILIES[k % 3], lam=float(cells[k, 0]) ** 2,
+                          report=McReport(*cells[k, :2].tolist(), 16384 + k, *cells[k, 2:].tolist()))
+               for k in range(len(cells))]
+    monkeypatch.setattr(cli, "jensen_suite", lambda trials, samples, seed: results)
+    out = tmp_path / "bound"
+    assert entry(["bound-check", "--out", str(out)]) == 3  # a z-score of -inf fails the suite
+    text = same_file(out / "bound_check.csv", write_bound_check_per_cell, results)
+    assert ",inf\r\n" in text and ",-inf\r\n" in text and ",-0\r\n" in text
+
+
+def test_grad_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    errors = floats(14, 20).tolist()
+    loss = [GradTrial("loss", v, k, e) for k, (v, e) in enumerate(zip(("am", "dasa") * 8, errors))]
+    composed = [GradTrial("composed", "daam", k, e) for k, e in enumerate(errors[16:])]
+    monkeypatch.setattr(cli, "gradcheck_suite", lambda trials, epsilon, seed: list(loss))
+    monkeypatch.setattr(cli, "composed_gradcheck", lambda trials, epsilon, seed: composed)
+    for epsilon in ("6e-05", "5e-324", "0.1"):
+        out = tmp_path / f"grad{epsilon}"
+        assert entry(["grad-check", "--out", str(out), "--set", f"grad.epsilon={epsilon}"]) == 3
+        same_file(out / "grad_check.csv", write_grad_check_per_cell, loss + composed, float(epsilon))
+
+
+@pytest.mark.parametrize("variant,cov_mode,diverge", [
+    ("am", "full", False),
+    ("dasa", "diagonal", False),
+    ("dasa", "full", True),
+])
+def test_diagnostics_match_the_per_cell_writer(tmp_path, monkeypatch, variant, cov_mode, diverge):
+    """Every row the trainer reached, a diverged run's included, with the
+    per-sample numbers replaced by chosen floats after each loss call."""
+    ds = generate(SynthSpec(num_classes=4, dim=5, samples_per_class=12, seed=2))
+    path = tmp_path / "diagnostics.csv"
+    settings = TrainSettings(hidden=[6], embed_dim=3, epochs=3, batch_size=7, cov_mode=cov_mode,
+                             diagnostics_path=str(path))
+    loss = trainer.variant_loss
+    steps = []
+
+    def chosen_floats(f, head, bank, labels, cfg, t):
+        out = loss(f, head, bank, labels, cfg, t)
+        cos_y, coef, lam, value = floats(100 + t, (4, labels.size))
+        if diverge and t == 5:
+            coef[0] = math.inf  # the epoch's mean coef is no longer finite
+        out.per_sample_terms.update(cos_y=cos_y, coef=coef)
+        out.per_sample_terms["lambda"] = lam
+        out.value = value
+        steps.append((t, cos_y, coef, lam, value))
+        return out
+
+    monkeypatch.setattr(trainer, "variant_loss", chosen_floats)
+    if diverge:
+        with pytest.raises(TrainingDivergedError):
+            train(ds, LossConfig(variant=variant), settings)
+    else:
+        train(ds, LossConfig(variant=variant), settings)
+    shuffle, train_idx, B = philox_rng(settings.seed, 2), ds.indices(TRAIN), settings.batch_size
+    batches = [order[s:s + B] for order in (shuffle.permutation(train_idx) for _ in range(settings.epochs))
+               for s in range(0, train_idx.size, B)]
+    assert len(steps) == (len(batches) // 3 if diverge else len(batches))
+    same_file(path, write_diagnostics_per_cell, [(t, batch, *cols) for (t, *cols), batch in zip(steps, batches)])
+
+
+def test_diagnostics_file_fails_before_any_training(tmp_path, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "variant_loss", no_step)
+    settings = TrainSettings(epochs=1, diagnostics_path=str(tmp_path / "no" / "such" / "dir.csv"))
+    with pytest.raises(FileNotFoundError):
+        train(generate(SynthSpec(num_classes=3, samples_per_class=10)), LossConfig(), settings)

@@ -9,8 +9,10 @@ Cholesky factors used to draw explicitly augmented embeddings.
 
 from __future__ import annotations
 
+import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +45,69 @@ class ClassStats:
         return cls(class_id, 0, np.zeros(dim), np.zeros(shape))
 
 
+# Element budget of one chunk of a batched step: the bank merge takes
+# consecutive classes while their rows' F x F (or F) blocks fit it, and the
+# losses' augmentation term takes labels while their C x F differences fit
+# it, so the peak memory of either stays flat in the batch and class count.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def _mapped_zeros(shape: tuple) -> np.ndarray:
+    """A float64 zero array in an anonymous memory map of its own.
+
+    Freeing a large malloc block raises glibc's threshold for serving
+    requests by memory maps, so a process that trains one bank after
+    another would serve its later requests from a heap that keeps freed
+    pages.  A map of its own goes back to the system whole and leaves that
+    threshold alone.
+    """
+    import mmap  # here, so that a process that never builds a bank never loads it
+
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64, count=size).reshape(shape)
+
+
+class ClassStatsView:
+    """``bank.stats``: entry i is class i's :class:`ClassStats`, whose
+    ``mean`` and ``cov`` are views of the bank's row i (writing into them
+    writes the bank; ``count`` is a copy).  Assigning a ``ClassStats`` to
+    entry i copies its count, mean and cov into row i, whatever its
+    ``class_id``.  ``len`` and iteration follow the sequence protocol."""
+
+    __slots__ = ("_bank",)
+
+    def __init__(self, bank: "CovarianceBank"):
+        self._bank = bank
+
+    def __len__(self) -> int:
+        return self._bank.num_classes
+
+    def _row(self, i) -> int:
+        i, n = operator.index(i), self._bank.num_classes
+        if not -n <= i < n:
+            raise IndexError(f"class {i} out of range [0, {n})")
+        return i % n
+
+    def __getitem__(self, i) -> ClassStats:
+        i, b = self._row(i), self._bank
+        return ClassStats(i, int(b.count[i]), b.mean[i], b.cov[i])
+
+    def __setitem__(self, i, stats: ClassStats) -> None:
+        i, b = self._row(i), self._bank
+        mean, cov = np.asarray(stats.mean, dtype=float), np.asarray(stats.cov, dtype=float)
+        if mean.shape != b.mean.shape[1:] or cov.shape != b.cov.shape[1:]:
+            raise ValueError(f"stats have mean {mean.shape} and cov {cov.shape}, "
+                             f"expected {b.mean.shape[1:]} and {b.cov.shape[1:]}")
+        b.count[i], b.mean[i], b.cov[i] = stats.count, mean, cov
+
+
 class CovarianceBank:
     """Per-class streaming mean/covariance container.
 
-    Updates are single-writer; reads are safe while no update is running.
+    The statistics are three arrays indexed by class: ``count`` (C,),
+    ``mean`` (C, F) and ``cov`` (C, F, F), or (C, F) of variances in
+    diagonal mode; ``stats`` views them class by class.  Updates are
+    single-writer; reads are safe while no update is running.
     """
 
     def __init__(self, num_classes: int, dim: int, mode: str = FULL):
@@ -59,7 +120,15 @@ class CovarianceBank:
         self.num_classes = num_classes
         self.dim = dim
         self.mode = mode
-        self.stats = [ClassStats.empty(c, dim, mode) for c in range(num_classes)]
+        self.count = np.zeros(num_classes, dtype=np.int64)
+        self.mean = np.zeros((num_classes, dim))
+        self.cov = _mapped_zeros((num_classes, dim, dim) if mode == FULL else (num_classes, dim))
+
+    @property
+    def stats(self) -> ClassStatsView:
+        # made on each access: a view kept on the bank would form a
+        # reference cycle and hold the arrays until a garbage collection
+        return ClassStatsView(self)
 
     def update(self, embedding: np.ndarray, label) -> None:
         """Fold one embedding (F,) with its label, or a batch (B, F) with
@@ -71,6 +140,14 @@ class CovarianceBank:
             mu' = mu + d*k/n',  cov' = (n*cov + M2 + (n*k/n')*d d^T)/n'.
         Its k = 1 case is the exact one-pass (Welford) step; either way the
         result is the two-pass population covariance of everything seen.
+
+        The classes present are merged in chunks of consecutive classes
+        whose batch rows' covariance blocks (F x F, or F) fit
+        :data:`CHUNK_ELEMENTS`, each chunk in a few array operations over all
+        its classes.  A chunk of one class is merged in place, and so is
+        every class of a full-covariance batch whose classes' blocks alone
+        overfill the budget: there the gather and scatter of K blocks cost
+        more than one in-place merge per class.
         """
         x = np.asarray(embedding, dtype=float)
         labels = np.asarray(label)
@@ -84,36 +161,75 @@ class CovarianceBank:
         bad = (labels < 0) | (labels >= self.num_classes)
         if bad.any():
             raise ValueError(f"label {labels[bad][0]} out of range [0, {self.num_classes})")
-        # the classes present, their batch counts k, running counts n and
-        # batch means m, with the rows of each class contiguous in batch order
-        order = np.argsort(labels, kind="stable")
+        # the classes present, their batch counts k and batch means m, with
+        # the rows of class i contiguous in batch order from starts[i]
         k = np.bincount(labels, minlength=self.num_classes)
         classes = np.flatnonzero(k)
         k = k[classes]
-        starts = np.cumsum(k) - k
-        x = x[order]
+        ends = np.cumsum(k)
+        starts = ends - k
+        x = x[np.argsort(labels, kind="stable")]
         m = np.add.reduceat(x, starts, axis=0) / k[:, None]
-        stats = [self.stats[c] for c in classes.tolist()]
-        n = np.array([st.count for st in stats])
-        delta = m - np.array([st.mean for st in stats])
+        block = self.cov[0].size
+        per_class = self.mode == FULL and classes.size * block > CHUNK_ELEMENTS
+        cls, n, first, last = classes.tolist(), self.count[classes].tolist(), starts.tolist(), ends.tolist()
+        a = 0
+        while a < len(cls):
+            b = a + 1 if per_class else max(
+                int(np.searchsorted(ends, first[a] + CHUNK_ELEMENTS // block, side="right")), a + 1)
+            rows = x[first[a]:last[b - 1]]
+            if b - a == 1:
+                self._merge_one(cls[a], n[a], rows, m[a])
+            else:
+                self._merge(classes[a:b], k[a:b], rows, m[a:b])
+            a = b
+
+    def _merge(self, classes, k, x, m) -> None:
+        """Merge classes with batch counts k, rows x (each class's rows
+        contiguous, in class order) and batch means m, all at once; the
+        scatters M2 are one product of the class-membership matrix with
+        the rows' outer products."""
+        n = self.count[classes]
+        n1 = n + k
+        d = m - self.mean[classes]
+        col = (-1,) + (1,) * (self.cov.ndim - 1)  # a (K,) vector against the K blocks
+        member = np.repeat(np.arange(classes.size), k)
+        r = x - m[member]
+        member = (member == np.arange(classes.size)[:, None]).astype(float)
         full = self.mode == FULL
-        for st, d, mi, s, ki, ni in zip(stats, delta, m, starts.tolist(), k.tolist(), n.tolist()):
-            n1 = ni + ki
-            w = ni * ki / n1
-            spread = w * (d[:, None] * d) if full else w * d * d
-            if ki > 1:
-                r = x[s:s + ki] - mi
-                spread += r.T @ r if full else (r * r).sum(axis=0)
-            st.mean = st.mean + d * ki / n1
-            st.cov = (ni * st.cov + spread) / n1
-            st.count = n1
+        spread = (n * k / n1).reshape(col) * (np.einsum("kf,kg->kfg", d, d) if full else d * d)
+        scatter = np.einsum("bf,bg->bfg", r, r) if full else r * r
+        spread += (member @ scatter.reshape(len(r), -1)).reshape(spread.shape)
+        self.mean[classes] += d * k[:, None] / n1[:, None]
+        self.cov[classes] = (n.reshape(col) * self.cov[classes] + spread) / n1.reshape(col)
+        self.count[classes] = n1
+
+    def _merge_one(self, c: int, n: int, x, m) -> None:
+        """Merge class c, of running count n, with its batch rows x of mean
+        m, in place."""
+        k = x.shape[0]
+        n1 = n + k
+        d = m - self.mean[c]
+        full = self.mode == FULL
+        w = n * k / n1
+        spread = w * (d[:, None] * d) if full else w * d * d
+        if k > 1:
+            r = x - m
+            spread += r.T @ r if full else (r * r).sum(axis=0)
+        self.mean[c] += d * k / n1
+        cov = self.cov[c]
+        cov *= n
+        cov += spread
+        cov /= n1
+        self.count[c] = n1
 
 
 def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> np.ndarray:
     """Evaluate d_j^T Cov d_j with d_j = w_j - w_label against one class's cov.
 
     The label's own entry is exactly zero (its difference vector is zero).
-    Computed through :func:`forms_and_product`, the path the losses use.
+    One product U = D Cov (C x F x F, or C x F elementwise for a diagonal
+    covariance) gives every form as the row-wise dot d_j . U_j.
     """
     w = np.asarray(head_weights, dtype=float)
     dim = stats.mean.shape[0]
@@ -121,21 +237,10 @@ def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> 
         raise ValueError(f"weights have shape {w.shape}, expected (C, {dim})")
     if not 0 <= label < w.shape[0]:
         raise ValueError(f"label {label} out of range for {w.shape[0]} weight rows")
-    return forms_and_product(stats, w - w[label], label)[0]
-
-
-def forms_and_product(stats: ClassStats, diffs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms phi and covariance product U of difference rows.
-
-    ``diffs`` holds d_j = w_j - w_label.  One matrix product U = D Cov
-    (C x F x F, or C x F elementwise for a diagonal covariance) gives both
-    phi_j = d_j . U_j, with phi_label = 0, and the U the loss gradients
-    need, so callers never form the product twice.
-    """
-    U = apply_cov(stats, diffs)
-    phi = np.einsum("cf,cf->c", diffs, U)
+    diffs = w - w[label]
+    phi = np.einsum("cf,cf->c", diffs, apply_cov(stats, diffs))
     phi[label] = 0.0
-    return phi, U
+    return phi
 
 
 def apply_cov(stats: ClassStats, rows: np.ndarray) -> np.ndarray:
@@ -186,11 +291,11 @@ def save_bank(bank: CovarianceBank, path: str) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"num_classes={bank.num_classes},dim={bank.dim},mode={bank.mode}\n")
-        for st in bank.stats:
-            cells = np.concatenate([st.mean, np.ravel(st.cov)])
+        for c, count in enumerate(bank.count.tolist()):
+            cells = np.concatenate([bank.mean[c], np.ravel(bank.cov[c])])
             bits, where = np.unique(cells.view(np.int64), return_inverse=True)
             text = ((FLOAT + ",") * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
-            fh.write("%d,%d,%s\n" % (st.class_id, st.count, ",".join(np.array(text, dtype=object)[where])))
+            fh.write("%d,%d,%s\n" % (c, count, ",".join(np.array(text, dtype=object)[where])))
 
 
 def load_bank(path: str) -> CovarianceBank:
@@ -199,13 +304,14 @@ def load_bank(path: str) -> CovarianceBank:
 
     Every defect raises ``ValueError("<path>: line N: ...")``: a byte that
     is not UTF-8, a malformed header, a wrong row or cell count, a class id
-    that is not an integer in range or that repeats, a negative count, a
-    non-finite cell, a negative variance, or a full covariance asymmetric
-    beyond 1e-12 * trace.
+    that is not an integer in range or that repeats, a negative count or
+    one of 2**63 or more, a non-finite cell, a negative variance, or a full
+    covariance asymmetric beyond 1e-12 * trace.
     """
     # A line is blank when it holds no comma and only whitespace.
-    rows = read_csv_rows(path) if os.path.getsize(path) else []
-    lines = [(n, row) for n, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
+    table, starts = read_csv_rows(path) if os.path.getsize(path) else ([], [1])
+    kept = [i for i, row in enumerate(table) if len(row) > 1 or row and row[0].strip()]
+    lines = [(starts[i], table[i]) for i in kept]
     if not lines:
         raise ValueError(f"{path}: line 1: empty bank file")
     head_no, head = lines[0]
@@ -220,7 +326,7 @@ def load_bank(path: str) -> CovarianceBank:
         raise ValueError(f"{path}: line {head_no}: malformed bank header {','.join(head)!r}")
     if len(lines) - 1 != num_classes:
         # blame the first surplus row, or the line after the last one
-        n = lines[num_classes + 1][0] if len(lines) - 1 > num_classes else lines[-1][0] + 1
+        n = lines[num_classes + 1][0] if len(lines) - 1 > num_classes else starts[kept[-1] + 1]
         raise ValueError(f"{path}: line {n}: expected {num_classes} rows, found {len(lines) - 1}")
     cov_len = dim * dim if mode == FULL else dim
     rows = lines[1:]
@@ -245,6 +351,8 @@ def load_bank(path: str) -> CovarianceBank:
         seen.add(cid)
         if count < 0:
             raise ValueError(f"{where}: negative count {count}")
+        if count >= 2**63:
+            raise ValueError(f"{where}: count {count} too large")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{where}: non-finite mean or covariance cell")
         mean, cov = values[:dim], values[dim:]
@@ -257,5 +365,5 @@ def load_bank(path: str) -> CovarianceBank:
             asym = float(np.max(np.abs(cov - cov.T)))
             if asym > 1e-12 * float(np.trace(cov)):
                 raise ValueError(f"{where}: covariance asymmetric by {asym:.3e}")
-        bank.stats[cid] = ClassStats(cid, count, mean, cov)
+        bank.count[cid], bank.mean[cid], bank.cov[cid] = count, mean, cov
     return bank

@@ -180,21 +180,30 @@ def write_dataset(dataset: Dataset, path) -> None:
                zip(dataset.labels.tolist(), dataset.features, dataset.split.tolist())))
 
 
-def read_csv_rows(path) -> list[list[str]]:
-    """Every row of a CSV file, a blank line as an empty list.  An empty
-    file, one that is not UTF-8, or one the csv module rejects (a field
-    over its size limit, say), raises ``ValueError("<path>: line N: ...")``."""
+def read_csv_rows(path) -> tuple[list[list[str]], range | list[int]]:
+    """Every row of a CSV file, a blank line as an empty list, and the
+    physical line each row starts on: ``lines[i]`` for row i, with one more
+    entry, ``lines[-1]``, the line after the last row.  A row starts on
+    line i + 1 unless a quoted field before it holds a line break.  An
+    empty file, one that is not UTF-8, or one the csv module rejects (a
+    field over its size limit, say), raises ``ValueError("<path>: line N: ...")``."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
+            if reader.line_num == len(rows):
+                lines = range(1, len(rows) + 2)
+            else:  # some row spans lines: read again, noting where each ends
+                fh.seek(0)
+                reader = csv.reader(fh)
+                lines = [1] + [reader.line_num + 1 for _ in reader]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise utf8_error(path) from None
     if not rows:
         raise ValueError(f"{path}: line 1: empty file")
-    return rows
+    return rows, lines
 
 
 def utf8_error(path) -> ValueError:
@@ -211,26 +220,27 @@ def utf8_error(path) -> ValueError:
     raise AssertionError(f"{path}: every line decodes as UTF-8")
 
 
-def data_rows(path, rows: list, width: int):
+def data_rows(path, rows: list, lines, width: int):
     """Yield (line number, fields) for each non-blank row after the header
-    line.  A row without ``width`` fields, or no such row at all, raises
+    row, ``lines`` numbering the rows as :func:`read_csv_rows` does.  A row
+    without ``width`` fields, or no such row at all, raises
     ``ValueError("<path>: line N: ...")``."""
     if not any(rows[1:]):
-        raise ValueError(f"{path}: line {len(rows) + 1}: no data rows")
-    for ln, row in enumerate(rows[1:], start=2):
+        raise ValueError(f"{path}: line {lines[-1]}: no data rows")
+    for ln, row in zip(lines[1:], rows[1:]):
         if row:
             if len(row) != width:
                 raise ValueError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
             yield ln, row
 
 
-def first_bad_line(path, rows: list, width: int, check) -> None:
+def first_bad_line(path, rows: list, lines, width: int, check) -> None:
     """Raise ``ValueError("<path>: line N: ...")`` for the first data row
     that :func:`data_rows` or ``check(fields)`` rejects; ``check`` rejects
     by raising ``ValueError`` or by returning a message.  A reader that
     checks its rows as one block calls this only once the block failed,
     to name the line a row-by-row reader would name."""
-    for ln, row in data_rows(path, rows, width):
+    for ln, row in data_rows(path, rows, lines, width):
         try:
             message = check(row)
         except ValueError as exc:
@@ -248,7 +258,7 @@ def read_dataset(path) -> Dataset:
     block is cast to float in one call and checked finite in one call;
     only a file that fails goes row by row to find its first bad line.
     """
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     header = rows[0]
     if len(header) < 3 or header[0] != "label" or header[-1] != "split":
         raise ValueError(f"{path}: line 1: expected header 'label,x0,...,split'")
@@ -274,7 +284,7 @@ def read_dataset(path) -> Dataset:
                 return "non-finite feature"
             if row[-1] not in (TRAIN, EVAL):
                 return f"unknown split tag {row[-1]!r}"
-        first_bad_line(path, rows, d + 2, check)
+        first_bad_line(path, rows, lines, d + 2, check)
     return Dataset(features=feats, labels=np.array(labels), split=np.array(split))
 
 
@@ -293,7 +303,7 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
     [0, 2**63) or a repeated index, raises ``ValueError("<path>: line N: ...")``.
     As in :func:`read_dataset`, the value block is cast and checked at once.
     """
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
@@ -319,5 +329,5 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
             seen.add(idx)
             if not all(map(math.isfinite, e)):
                 return "non-finite value"
-        first_bad_line(path, rows, width, check)
+        first_bad_line(path, rows, lines, width, check)
     return dict(zip(indices, E))

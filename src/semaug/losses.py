@@ -24,9 +24,10 @@ with labels (B,).  A batch returns per-row values, embedding gradients and
 ``per_sample_terms`` of shape (B,), and the weight (and bias) gradients of
 the summed loss; one embedding is a batch of one and returns floats and
 (F,) gradients.  Gradients are returned for the embedding, the raw
-(unnormalized) weight rows, and, on the affine map, the biases.  The class
-covariance is treated as a constant: no gradient flows into the statistics
-bank.
+(unnormalized) weight rows, and, on the affine map, the biases; with
+``value_only=True`` a function returns the value alone, gradients None.
+The class covariance is treated as a constant: no gradient flows into the
+statistics bank.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import ClassStats, CovarianceBank, forms_and_product
+from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank
 
 VARIANTS = ("softmax", "isda", "am", "daam", "dasa")
 DIFFICULTY_MODES = ("none", "DA", "DY")
@@ -237,17 +238,6 @@ def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W / norms[:, None], norms
 
 
-def _groups(labels: np.ndarray, lam) -> list:
-    """(rows, label) for each distinct label among the rows with lam != 0,
-    in label order; ``lam`` is a (B, 1) column or one float for every row."""
-    on = (lam[:, 0] != 0.0).tolist() if isinstance(lam, np.ndarray) else [lam != 0.0] * labels.size
-    rows = {}
-    for i, y in enumerate(labels.tolist()):
-        if on[i]:
-            rows.setdefault(y, []).append(i)
-    return [(np.array(r), y) for y, r in sorted(rows.items())]
-
-
 def _softmax_parts(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row maxima, row sums of exp(e - max) and the softmax of each row."""
     emax = e.max(axis=1, keepdims=True)
@@ -256,11 +246,58 @@ def _softmax_parts(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return emax, total, ee / total
 
 
-def _add_cov_term(g: np.ndarray, q: np.ndarray, w, U: np.ndarray, y: int) -> None:
-    """Add the covariance term of the weight gradient of rows of label y,
-    given their softmax q, w = lam*a^2 and U = D Cov_y (whose row y is 0)."""
-    g += (w * q).sum(axis=0)[:, None] * U
-    g[y] -= (w * (q @ U)).sum(axis=0)
+def _augment(e, g, phi_rows, R, labels, lam, a: float, stats, value_only: bool) -> None:
+    """Add the augmentation term lam*a^2*phi/2 to the rows of e with lam != 0,
+    their phi to phi_rows (when given) and, unless ``value_only``, the
+    covariance part of their weight gradient to g.
+
+    ``lam`` is a (B, 1) column or one float for every row; ``stats`` is one
+    ClassStats for every label or a CovarianceBank.  The distinct labels
+    y of those rows are taken in chunks of :data:`CHUNK_ELEMENTS` // (C*F);
+    per chunk, one gather of their covariances Cov_y and one batched
+    product U = D Cov_y of the differences D = R - R_y give every label's
+    quadratic forms phi_y = rowwise D . U (with phi_y[y] = 0).  Once a row's
+    phi is added its e is final, so its softmax q and the weights
+    w = lam*a^2 give the chunk's weight gradient: with s_y the sum of w*q
+    over the rows of label y, g += sum_y s_y[:, None] * U_y and
+    g[y] -= s_y @ U_y (row y of U_y is 0, so q's target slot drops out).
+    """
+    if isinstance(lam, np.ndarray):
+        rows = np.flatnonzero(lam[:, 0] != 0.0)
+    else:
+        rows = np.arange(labels.size) if lam != 0.0 else labels[:0]
+    if rows.size == 0:
+        return
+    if stats is None:
+        raise ValueError("augmentation strength > 0 requires class statistics")
+    # the rows grouped by label in label order, the distinct labels ys, and
+    # each group's first position among the rows
+    rows = rows[np.argsort(labels[rows], kind="stable")]
+    ls = labels[rows]
+    first = np.concatenate(([0], np.flatnonzero(ls[1:] != ls[:-1]) + 1, [ls.size]))
+    ys = ls[first[:-1]]
+    group = np.repeat(np.arange(ys.size), np.diff(first))  # each row's label among ys
+    single = isinstance(stats, ClassStats)
+    C, F = R.shape
+    per = max(1, CHUNK_ELEMENTS // (C * F))
+    for s in range(0, ys.size, per):
+        y = ys[s:s + per]
+        at = slice(first[s], first[min(s + per, ys.size)])
+        sig = stats.cov[None] if single else stats.cov.take(y, axis=0)
+        D = R - R.take(y, axis=0)[:, None, :]
+        U = D @ sig if sig.ndim == 3 else D * sig[:, None, :]
+        phi = np.einsum("lcf,lcf->lc", D, U)
+        phi[np.arange(y.size), y] = 0.0
+        phi = phi.take(group[at] - s, axis=0)
+        i = rows[at]
+        lam_i = lam[i] if isinstance(lam, np.ndarray) else lam
+        e[i] = e_i = e[i] + 0.5 * lam_i * a * a * phi
+        if phi_rows is not None:
+            phi_rows[i] = phi
+        if not value_only:
+            wq = np.add.reduceat(lam_i * a * a * _softmax_parts(e_i)[2], first[s:s + y.size] - first[s], axis=0)
+            g += np.einsum("lc,lcf->cf", wq, U)
+            g[y] -= (wq[:, None, :] @ U)[:, 0]
 
 
 def _loss(
@@ -276,6 +313,7 @@ def _loss(
     strength_mode: str = "constant",
     ramp: float = 0.0,
     coef: float | None = None,
+    value_only: bool = False,
 ) -> LossOutput:
     """The one forward/backward behind every variant (see the module doc).
 
@@ -284,14 +322,14 @@ def _loss(
     gradient chained back through the row normalization.  ``coef`` freezes
     the margin coefficient (no gradient path); otherwise it follows
     ``difficulty``.  With a dynamic ``strength_mode``, lam = ramp * coef_s.
-    ``stats`` is one ClassStats for every label, or a sequence whose entry
-    y holds class y's; it is read only for the labels of rows with lam != 0.
+    ``stats`` is one ClassStats for every label, or a CovarianceBank whose
+    row y holds class y's; it is read only for the labels of rows with
+    lam != 0.  With ``value_only`` the call returns right after the value,
+    with no gradients (None) and no per-sample terms.
 
-    Every row is evaluated at once, except for the augmentation term: per
-    distinct label y among the rows with lam != 0, the covariance product
-    U = D Cov_y is formed once, gives those rows' quadratic forms and its
-    share of the weight gradient, and is dropped, so one U is alive at a
-    time.
+    Every row is evaluated at once; the augmentation term takes the
+    distinct labels of the rows with lam != 0 in chunks (see
+    :func:`_augment`), so its memory stays flat in the class count.
     """
     f, labels = _checked_batch(embedding, label, head)
     b = None if cosine else head.biases
@@ -332,21 +370,14 @@ def _loss(
     e = a * (u - uy) + a * m * coef
     e.put(target, 0.0)  # target slot carries the constant exp(0) = 1; phi is 0 there
     g = np.zeros(R.shape)  # d(sum of values)/d(R)
-    phi_rows = None if dlam is None else np.zeros(e.shape)  # each row's phi, for d(lam)/d(u_y)
-    for rows, y in _groups(labels, lam):
-        if stats is None:
-            raise ValueError("augmentation strength > 0 requires class statistics")
-        phi, U = forms_and_product(stats if isinstance(stats, ClassStats) else stats[y], R - R[y], y)
-        lam_y = lam[rows] if isinstance(lam, np.ndarray) else lam
-        e[rows] = e_y = e[rows] + 0.5 * lam_y * a * a * phi
-        if phi_rows is not None:
-            phi_rows[rows] = phi
-        # e_y is final, so its softmax is those rows' q below; its target
-        # slot needs no zeroing because row y of U is 0
-        _add_cov_term(g, _softmax_parts(e_y)[2], lam_y * a * a, U, y)
+    phi_rows = None if dlam is None or value_only else np.zeros(e.shape)  # each row's phi, for d(lam)/d(u_y)
+    _augment(e, g, phi_rows, R, labels, lam, a, stats, value_only)
 
     emax, total, q = _softmax_parts(e)
     value = emax[:, 0] + np.array([math.log(t) for t in total[:, 0].tolist()])
+    if value_only:
+        return LossOutput(value=float(value[0]) if np.ndim(embedding) == 1 else value,
+                          grad_embedding=None, grad_weights=None)
     q.put(target, 0.0)
     # d(value)/d(u_y); d(value)/d(u_j) = a*q_j for j != y
     duy = (-a + a * m * dcoef) * q.sum(axis=1, keepdims=True)
@@ -369,9 +400,9 @@ def _loss(
                       per_sample_terms={k: np.broadcast_to(v, (B, 1))[:, 0].copy() for k, v in terms.items()})
 
 
-def softmax_ce(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
+def softmax_ce(embedding: np.ndarray, head: ClassifierHead, label: int, *, value_only: bool = False) -> LossOutput:
     """Cross entropy -log softmax(W f + b)[label]: the affine map at lam = 0."""
-    return _loss(embedding, head, label, cosine=False)
+    return _loss(embedding, head, label, cosine=False, value_only=value_only)
 
 
 def isda_bound(
@@ -380,17 +411,19 @@ def isda_bound(
     bank: CovarianceBank,
     lam: float,
     label: int,
+    *,
+    value_only: bool = False,
 ) -> LossOutput:
     """Closed-form bound on the expected cross entropy under Gaussian
     perturbation of the embedding with covariance lam*Cov_label: the
     affine map with strength lam, so lam = 0 is ``softmax_ce`` itself."""
-    return _loss(embedding, head, label, cosine=False, stats=bank.stats, lam=lam)
+    return _loss(embedding, head, label, cosine=False, stats=bank, lam=lam, value_only=value_only)
 
 
-def am_softmax(embedding: np.ndarray, head: ClassifierHead, label: int) -> LossOutput:
+def am_softmax(embedding: np.ndarray, head: ClassifierHead, label: int, *, value_only: bool = False) -> LossOutput:
     """Additive-margin softmax on scaled cosines, no bias: the cosine map
     with coef = 1 and lam = 0."""
-    return _loss(embedding, head, label, cosine=True)
+    return _loss(embedding, head, label, cosine=True, value_only=value_only)
 
 
 def daam_softmax(
@@ -399,11 +432,13 @@ def daam_softmax(
     label: int,
     difficulty: str = "DA",
     gamma: float = 2.0,
+    *,
+    value_only: bool = False,
 ) -> LossOutput:
     """Additive-margin softmax with the margin scaled by a per-sample
     difficulty coefficient of the target cosine (harder samples get a
     larger effective margin)."""
-    return _loss(embedding, head, label, cosine=True, difficulty=difficulty, gamma=gamma)
+    return _loss(embedding, head, label, cosine=True, difficulty=difficulty, gamma=gamma, value_only=value_only)
 
 
 def dasa_bound(
@@ -413,16 +448,18 @@ def dasa_bound(
     label: int,
     config: LossConfig,
     t: float,
+    *,
+    value_only: bool = False,
 ) -> LossOutput:
     """Closed-form bound on the expected difficulty-aware margin loss under
     Gaussian embedding perturbation with covariance lam*Cov_label, where lam
     follows the config's schedule at iteration t."""
     constant = config.strength_mode == "constant"
     return _loss(
-        embedding, head, label, cosine=True, stats=bank.stats,
+        embedding, head, label, cosine=True, stats=bank,
         lam=lambda_schedule(t, config) if constant else 0.0,
         difficulty=config.difficulty, gamma=config.gamma,
-        strength_mode=config.strength_mode, ramp=_ramp(t, config),
+        strength_mode=config.strength_mode, ramp=_ramp(t, config), value_only=value_only,
     )
 
 
@@ -433,12 +470,14 @@ def margin_bound(
     label: int,
     lam: float,
     coef: float = 1.0,
+    *,
+    value_only: bool = False,
 ) -> LossOutput:
     """Margin-family bound at an explicit strength lam and an explicit,
     frozen margin coefficient (1.0 gives the plain-margin bound).  Used by
     the Monte-Carlo cross checks, which evaluate the coefficient once at
     the clean embedding."""
-    return _loss(embedding, head, label, cosine=True, stats=stats, lam=lam, coef=coef)
+    return _loss(embedding, head, label, cosine=True, stats=stats, lam=lam, coef=coef, value_only=value_only)
 
 
 def variant_loss(
@@ -448,19 +487,22 @@ def variant_loss(
     label: int,
     config: LossConfig,
     t: float,
+    *,
+    value_only: bool = False,
 ) -> LossOutput:
     """The loss ``config.variant`` names, at iteration t of its schedule,
-    for one embedding or a batch (see the module doc)."""
+    for one embedding or a batch (see the module doc); with ``value_only``
+    just its value."""
     v = config.variant
     if v == "softmax":
-        return softmax_ce(embedding, head, label)
+        return softmax_ce(embedding, head, label, value_only=value_only)
     if v == "isda":
-        return isda_bound(embedding, head, bank, lambda_schedule(t, config), label)
+        return isda_bound(embedding, head, bank, lambda_schedule(t, config), label, value_only=value_only)
     if v == "am":
-        return am_softmax(embedding, head, label)
+        return am_softmax(embedding, head, label, value_only=value_only)
     if v == "daam":
-        return daam_softmax(embedding, head, label, config.difficulty, config.gamma)
-    return dasa_bound(embedding, head, bank, label, config, t)
+        return daam_softmax(embedding, head, label, config.difficulty, config.gamma, value_only=value_only)
+    return dasa_bound(embedding, head, bank, label, config, t, value_only=value_only)
 
 
 def finite_difference_error(value, pairs, epsilon: float) -> float:
@@ -496,8 +538,9 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     """Max relative error of analytic gradients vs finite differences
     (see :func:`finite_difference_error`).
 
-    ``loss_fn(embedding, head) -> LossOutput`` must close over everything
-    else (label, bank, config).  Every entry of grad_embedding, grad_weights
+    ``loss_fn(embedding, head, value_only=False) -> LossOutput`` must close
+    over everything else (label, bank, config); the finite differences call
+    it with ``value_only=True``.  Every entry of grad_embedding, grad_weights
     and, when present, grad_biases is checked.  The default step 6e-5
     (differences at 3e-5 and 6e-5) keeps the extrapolation's rounding
     noise, about 2.7x that of one central difference at the same step,
@@ -512,7 +555,7 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     h = ClassifierHead(weights=W0, biases=b0, scale=head.scale, margin=head.margin)
 
     def value() -> float:
-        return loss_fn(f0, h).value  # h holds W0 and b0 themselves, perturbed in place
+        return loss_fn(f0, h, value_only=True).value  # h holds W0 and b0 themselves, perturbed in place
 
     pairs = [(f0, out.grad_embedding), (W0, out.grad_weights)]
     if out.grad_biases is not None:

@@ -177,7 +177,7 @@ def read_trials(path) -> TrialSet:
     int64 in one call and checked at once; only a file that fails goes row
     by row, to find its first bad line.
     """
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     if rows[0] != ["index_a", "index_b", "is_target"]:
         raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
     body = [row for row in rows[1:] if row]
@@ -196,7 +196,7 @@ def read_trials(path) -> TrialSet:
                 return f"trial pairs index {a} with itself"
             if t not in (0, 1):
                 return f"is_target must be 0 or 1, got {t}"
-        first_bad_line(path, rows, 3, check)
+        first_bad_line(path, rows, lines, 3, check)
     return TrialSet(index_a=T[:, 0], index_b=T[:, 1], is_target=T[:, 2] == 1)
 
 

@@ -99,7 +99,7 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
     compare against the closed-form bound on the same inputs."""
     if count < 100:
         raise ValueError(f"count must be >= 100, got {count}")
-    bound = _loss(embedding, head, label, cosine=False, stats=stats, lam=lam).value
+    bound = _loss(embedding, head, label, cosine=False, stats=stats, lam=lam, value_only=True).value
     if lam == 0.0:
         # every draw is f itself, so the estimate is exact by construction
         return McReport(mean=bound, std_error=0.0, samples=count,
@@ -132,7 +132,7 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     coef = float(margin_coef)
     if coef < 0:
         raise ValueError(f"margin_coef must be >= 0, got {coef}")
-    bound = margin_bound(embedding, head, stats, label, lam, coef).value
+    bound = margin_bound(embedding, head, stats, label, lam, coef, value_only=True).value
     if lam == 0.0:
         return McReport(mean=bound, std_error=0.0, samples=count,
                         bound_value=bound, slack=0.0, z_score=0.0)

@@ -207,7 +207,7 @@ def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
         while 1.0 - abs(float(What[label] @ f)) <= kink_gap:
             f = _unit(rng, F, floor=0.1)
         head = replace(head, scale=_tempered_scale(f, head, bank, label, cfg, t))
-    return (lambda e, h: variant_loss(e, h, bank, label, cfg, t)), f, head
+    return (lambda e, h, value_only=False: variant_loss(e, h, bank, label, cfg, t, value_only=value_only)), f, head
 
 
 def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float:
@@ -267,15 +267,15 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
                                   scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
             head = replace(head, scale=_tempered_scale(f0, head, bank, label, cfg, 10))
 
-        def loss_of(embedder: TinyEmbedder, hd: ClassifierHead):
+        def loss_of(embedder: TinyEmbedder, hd: ClassifierHead, value_only: bool = False):
             f, cache = embedder.forward(x)
-            return variant_loss(f, hd, bank, label, cfg, 10), cache
+            return variant_loss(f, hd, bank, label, cfg, 10, value_only=value_only), cache
 
         loss, cache = loss_of(emb, head)
         param_grads = emb.backward(cache, loss.grad_embedding)
 
         def value() -> float:
-            return loss_of(emb, head)[0].value
+            return loss_of(emb, head, value_only=True)[0].value
 
         pairs = [pair for layer, (gW, gb) in enumerate(param_grads)
                  for pair in ((emb.weights[layer], gW), (emb.biases[layer], gb))]

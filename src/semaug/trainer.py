@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import CovarianceBank
+from .covariance import DIAGONAL, FULL, CovarianceBank
 from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, open_csv, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
 from .losses import ClassifierHead, LossConfig, variant_loss
@@ -61,6 +61,12 @@ class TrainSettings:
             raise ValueError("weight_decay must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.cov_mode not in (FULL, DIAGONAL):
+            raise ValueError(f"cov_mode must be {FULL!r} or {DIAGONAL!r}, got {self.cov_mode!r}")
 
 
 @dataclass
@@ -282,11 +288,13 @@ def load_model(path) -> tuple[TinyEmbedder, ClassifierHead]:
     or surplus row, a wrong length, a non-numeric or non-finite value, a
     bad layer size, scale or margin) raises ``ValueError("<path>: line N: ...")``.
     """
-    rows = [(n, r) for n, r in enumerate(read_csv_rows(path), start=1) if r]
+    table, lines = read_csv_rows(path)
+    kept = [i for i, r in enumerate(table) if r]
+    rows = [(lines[i], table[i]) for i in kept]
     if not rows or rows[0][1][:1] != ["semaug-model"]:
         raise ValueError(f"{path}: line 1: not a model snapshot")
     rest = iter(rows[1:])
-    end = rows[-1][0] + 1
+    end = lines[kept[-1] + 1]  # the line after the last row
 
     def take(name: str, length: int | None = None) -> tuple[int, list]:
         n, r = next(rest, (end, None))

@@ -61,6 +61,10 @@ def test_typed_parsing_and_bad_values():
     ("opt.lr_init", "inf", "learning rates must be positive and finite"),
     ("eval.p_target", "1.5", "p_target must be in (0, 1), got 1.5"),
     ("model.hidden", "8,x", "'8,x'"),
+    ("model.hidden", "0", "hidden sizes must be >= 1, got [0]"),
+    ("model.hidden", "16,-2", "hidden sizes must be >= 1, got [16, -2]"),
+    ("model.embed_dim", "0", "embed_dim must be >= 1, got 0"),
+    ("stats.mode", "bogus", "cov_mode must be 'full' or 'diagonal', got 'bogus'"),
 ])
 def test_a_value_its_dataclass_rejects_names_key_and_source(tmp_path, capsys, key, value, message):
     expected = f"bad value for {key!r}: {message}"
@@ -71,6 +75,16 @@ def test_a_value_its_dataclass_rejects_names_key_and_source(tmp_path, capsys, ke
     assert entry(["gen", "--out", str(tmp_path / "g"), "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: line 2: {expected}\n"
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("key,value", [("stats.mode", "bogus"), ("model.hidden", "0"), ("model.embed_dim", "0")])
+def test_train_rejects_a_model_or_bank_setting_before_reading_its_dataset(tmp_path, capsys, key, value):
+    # the dataset does not exist: the setting must fail first, naming its key
+    out = tmp_path / "run"
+    assert entry(["train", "--out", str(out), "--set", f"train.dataset={tmp_path / 'none.csv'}",
+                  "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {key!r}: ")
+    assert not out.exists()
 
 
 def test_config_file_round_trip_is_exact(tmp_path):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from semaug.covariance import (
+    CHUNK_ELEMENTS,
     DIAGONAL,
     FULL,
     ClassStats,
     CovarianceBank,
     DegenerateCovarianceError,
     apply_cov,
-    forms_and_product,
     load_bank,
     quadratic_forms,
     sampler_factor,
@@ -156,6 +156,85 @@ def test_batch_update_matches_the_stream(mode):
             assert a.count == b.count and np.all(a.mean == b.mean) and np.all(a.cov == b.cov)
 
 
+class ListBank:
+    """Oracle: the bank as a list of ClassStats, merging a batch one class
+    at a time, as the array bank did before its merge was batched."""
+
+    def __init__(self, num_classes, dim, mode):
+        self.mode = mode
+        self.stats = [ClassStats.empty(c, dim, mode) for c in range(num_classes)]
+
+    def update(self, x, labels):
+        order = np.argsort(labels, kind="stable")
+        k = np.bincount(labels, minlength=len(self.stats))
+        classes = np.flatnonzero(k)
+        k = k[classes]
+        starts = np.cumsum(k) - k
+        x = x[order]
+        m = np.add.reduceat(x, starts, axis=0) / k[:, None]
+        stats = [self.stats[c] for c in classes.tolist()]
+        delta = m - np.array([st.mean for st in stats])
+        full = self.mode == FULL
+        for st, d, mi, s, ki in zip(stats, delta, m, starts.tolist(), k.tolist()):
+            ni = st.count
+            n1 = ni + ki
+            w = ni * ki / n1
+            spread = w * (d[:, None] * d) if full else w * d * d
+            if ki > 1:
+                r = x[s:s + ki] - mi
+                spread += r.T @ r if full else (r * r).sum(axis=0)
+            st.mean = st.mean + d * ki / n1
+            st.cov = (ni * st.cov + spread) / n1
+            st.count = n1
+
+
+@pytest.mark.parametrize("C,F,B,mode,budget_rows", [
+    (20, 16, 32, FULL, False),       # the toy shape: one chunk of every class present
+    (20, 16, 32, DIAGONAL, False),
+    (256, 64, 128, FULL, True),      # K*F*F past the budget: one in-place merge per class
+    (40, 48, 1500, DIAGONAL, True),  # B*F past the budget: several chunks of classes
+    (6, 40, 300, FULL, True),        # few classes whose rows overfill a chunk alone
+])
+def test_array_bank_matches_the_per_class_merge(C, F, B, mode, budget_rows):
+    rng = philox_rng(113)
+    block = F * F if mode == FULL else F
+    assert (B * block > CHUNK_ELEMENTS) == budget_rows
+    bank, oracle = CovarianceBank(C, F, mode), ListBank(C, F, mode)
+    for _ in range(6):
+        x = rng.standard_normal((B, F)) * rng.uniform(0.5, 2.0, F)
+        labels = rng.integers(0, C, B)
+        bank.update(x, labels)
+        oracle.update(x, labels)
+    for got, want in zip(bank.stats, oracle.stats):
+        assert got.count == want.count
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(want.mean).max()))
+        assert rel_frobenius(got.cov, want.cov) <= 1e-12 if want.count else np.all(got.cov == 0.0)
+
+
+def test_stats_view_reads_write_through_and_assignments_copy():
+    bank = CovarianceBank(4, 3, FULL)
+    assert len(bank.stats) == 4 and [st.class_id for st in bank.stats] == [0, 1, 2, 3]
+    st = bank.stats[1]
+    st.mean[0] = 5.0
+    st.cov[0, 1] = 2.0
+    assert bank.mean[1, 0] == 5.0 and bank.cov[1, 0, 1] == 2.0 and bank.stats[1].mean[0] == 5.0
+    given = ClassStats(class_id=0, count=7, mean=np.arange(3.0), cov=np.eye(3))
+    bank.stats[2] = given
+    given.mean[0] = given.cov[0, 0] = 99.0  # the bank holds a copy
+    got = bank.stats[2]
+    assert got.class_id == 2 and got.count == 7 and bank.count[2] == 7
+    np.testing.assert_array_equal(got.mean, np.arange(3.0))
+    np.testing.assert_array_equal(got.cov, np.eye(3))
+    assert bank.stats[-1].class_id == 3
+    with pytest.raises(IndexError):
+        bank.stats[4]
+    with pytest.raises(ValueError, match="cov"):
+        bank.stats[0] = ClassStats(0, 1, np.zeros(3), np.zeros(3))  # a diagonal cov in a full bank
+    diag = CovarianceBank(2, 3, DIAGONAL)
+    diag.stats[1] = ClassStats(5, 4, np.ones(3), np.full(3, 0.5))
+    assert diag.count.tolist() == [0, 4] and diag.cov[1].tolist() == [0.5] * 3
+
+
 def test_bank_constructor_validation():
     with pytest.raises(ValueError):
         CovarianceBank(0, 3)
@@ -203,7 +282,7 @@ def test_quadratic_forms_match_triple_loop(mode):
 
 @pytest.mark.parametrize("mode", [FULL, DIAGONAL])
 def test_quadratic_forms_match_row_products_at_paper_shape(mode):
-    """The shared-product path against d @ Cov @ d one row at a time, at a
+    """quadratic_forms against d @ Cov @ d one row at a time, at a
     shape where BLAS blocking and the row-wise dot both come into play."""
     rng = philox_rng(110)
     C, dim = 300, 96
@@ -216,9 +295,6 @@ def test_quadratic_forms_match_row_products_at_paper_shape(mode):
         want = np.array([d @ cov @ d for d in W - W[label]])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert got[label] == 0.0
-        phi, U = forms_and_product(stats, W - W[label], label)
-        np.testing.assert_array_equal(phi, got)
-        np.testing.assert_array_equal(U, apply_cov(stats, W - W[label]))
 
 
 def test_quadratic_forms_input_validation():

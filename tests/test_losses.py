@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semaug.covariance import DIAGONAL, FULL, ClassStats, CovarianceBank
+from semaug import losses
+from semaug.covariance import CHUNK_ELEMENTS, DIAGONAL, FULL, ClassStats, CovarianceBank, apply_cov
 from semaug.losses import (
     ClassifierHead,
     LossConfig,
@@ -25,6 +26,7 @@ from semaug.losses import (
     variant_loss,
     _coef_and_slope,
     _ramp,
+    _softmax_parts,
 )
 from semaug.rng import philox_rng
 
@@ -568,20 +570,20 @@ def test_gradient_spot_checks():
     f = unit(rng, 4)
     W = rng.standard_normal((3, 4)) / 2.0
     head = ClassifierHead(weights=W, biases=rng.standard_normal(3) / 2.0)
-    err = loss_gradient_check(lambda e, h: softmax_ce(e, h, 1), f, head)
+    err = loss_gradient_check(lambda e, h, **kw: softmax_ce(e, h, 1, **kw), f, head)
     assert err < 1e-5
 
     bank = bank_with(random_stats(rng, 4), 3, 1)
     cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="DY",
                      lambda0=0.05, ramp_total_iters=10, deferred_fraction=0.0)
     head = ClassifierHead(weights=W, scale=2.5, margin=0.2)
-    err = loss_gradient_check(lambda e, h: dasa_bound(e, h, bank, 1, cfg, 6), f, head)
+    err = loss_gradient_check(lambda e, h, **kw: dasa_bound(e, h, bank, 1, cfg, 6, **kw), f, head)
     assert err < 1e-5
 
 
 def test_gradient_check_rejects_bad_epsilon():
     head = ClassifierHead(weights=np.eye(2))
-    fn = lambda e, h: softmax_ce(e, h, 0)
+    fn = lambda e, h, **kw: softmax_ce(e, h, 0, **kw)
     with pytest.raises(ValueError):
         loss_gradient_check(fn, np.array([1.0, 0.0]), head, epsilon=1e-8)
     with pytest.raises(ValueError):
@@ -626,13 +628,14 @@ def test_gradient_check_catches_a_planted_error():
     head = ClassifierHead(weights=W, biases=rng.standard_normal(5) / 2.0)
 
     def planted(field, idx):
-        def fn(e, h):
-            out = isda_bound(e, h, bank, 0.05, 2)
-            getattr(out, field)[idx] *= 1.0 + 1e-4
+        def fn(e, h, value_only=False):
+            out = isda_bound(e, h, bank, 0.05, 2, value_only=value_only)
+            if not value_only:
+                getattr(out, field)[idx] *= 1.0 + 1e-4
             return out
         return fn
 
-    assert loss_gradient_check(lambda e, h: isda_bound(e, h, bank, 0.05, 2), f, head) < 1e-5
+    assert loss_gradient_check(lambda e, h, **kw: isda_bound(e, h, bank, 0.05, 2, **kw), f, head) < 1e-5
     for field, idx in (("grad_embedding", 1), ("grad_weights", (0, 1)), ("grad_biases", 3)):
         assert loss_gradient_check(planted(field, idx), f, head) > 4e-5, field
 
@@ -738,6 +741,128 @@ def test_cores_match_the_two_product_formulation(mode):
                                           lambda_schedule(t, cfg) if strength == "constant" else 0.0,
                                           _ramp(t, cfg), cfg.gamma)
                 assert_same_loss(dasa_bound(f, head, bank, label, cfg, t), want)
+
+
+# -- batched augmentation term against the per-label loop -------------------
+# The oracle is the augmentation term as it was before it was batched: for
+# each distinct label y among the rows with lam != 0, one product
+# U = D Cov_y gives those rows' quadratic forms and its share of the weight
+# gradient.  Swapping it in for losses._augment gives the old loss whole.
+
+
+def _groups(labels, lam):
+    """(rows, label) for each distinct label among the rows with lam != 0,
+    in label order; ``lam`` is a (B, 1) column or one float for every row."""
+    on = (lam[:, 0] != 0.0).tolist() if isinstance(lam, np.ndarray) else [lam != 0.0] * labels.size
+    rows = {}
+    for i, y in enumerate(labels.tolist()):
+        if on[i]:
+            rows.setdefault(y, []).append(i)
+    return [(np.array(r), y) for y, r in sorted(rows.items())]
+
+
+def _add_cov_term(g, q, w, U, y):
+    """Add the covariance term of the weight gradient of rows of label y,
+    given their softmax q, w = lam*a^2 and U = D Cov_y (whose row y is 0)."""
+    g += (w * q).sum(axis=0)[:, None] * U
+    g[y] -= (w * (q @ U)).sum(axis=0)
+
+
+def forms_and_product(stats, diffs, label):
+    """Quadratic forms phi (phi_label = 0) and covariance product U = D Cov
+    of the difference rows d_j = w_j - w_label against one class's cov."""
+    U = apply_cov(stats, diffs)
+    phi = np.einsum("cf,cf->c", diffs, U)
+    phi[label] = 0.0
+    return phi, U
+
+
+def per_label_augment(e, g, phi_rows, R, labels, lam, a, stats, value_only):
+    for rows, y in _groups(labels, lam):
+        if stats is None:
+            raise ValueError("augmentation strength > 0 requires class statistics")
+        phi, U = forms_and_product(stats if isinstance(stats, ClassStats) else stats.stats[y], R - R[y], y)
+        lam_y = lam[rows] if isinstance(lam, np.ndarray) else lam
+        e[rows] = e_y = e[rows] + 0.5 * lam_y * a * a * phi
+        if phi_rows is not None:
+            phi_rows[rows] = phi
+        if not value_only:
+            _add_cov_term(g, _softmax_parts(e_y)[2], lam_y * a * a, U, y)
+
+
+def assert_close_outputs(got, want, tol=1e-12):
+    for name in ("value", "grad_embedding", "grad_weights", "grad_biases"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert _rel(a, b) <= tol, name
+    for key, b in want.per_sample_terms.items():
+        assert _rel(got.per_sample_terms[key], b) <= tol or not np.any(b), key
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_batched_term_matches_the_per_label_loop(monkeypatch, mode):
+    rng = philox_rng(217)
+    C, F, B = 80, 96, 40
+    per_chunk = CHUNK_ELEMENTS // (C * F)
+    W = rng.standard_normal((C, F)) / math.sqrt(F)
+    labels = rng.integers(0, C, B)
+    labels[:3] = labels[3]  # one label on several rows
+    assert np.unique(labels).size > 2 * per_chunk  # the labels span three chunks or more
+    f = np.array([unit(rng, F) for _ in labels])
+    bank = CovarianceBank(C, F, mode)
+    bank.update(rng.standard_normal((4 * C, F)) * 0.3, np.arange(4 * C) % C)
+    stats = stats_in_mode(rng, F, mode)
+    stats.cov *= 0.3 / np.mean(stats.cov if mode == DIAGONAL else np.diagonal(stats.cov))
+    affine = ClassifierHead(weights=W, biases=rng.standard_normal(C) / 2.0)
+    cosine = ClassifierHead(weights=W, scale=8.0, margin=0.2)
+
+    def calls(f, labels):
+        def cfg(variant, difficulty="none", strength="constant"):
+            return LossConfig(variant=variant, difficulty=difficulty, strength_mode=strength,
+                              lambda0=0.4, ramp_total_iters=10, deferred_fraction=0.2)
+        out = [lambda: variant_loss(f, affine, bank, labels, cfg("softmax"), 7),
+               lambda: variant_loss(f, affine, bank, labels, cfg("isda"), 7),
+               lambda: variant_loss(f, cosine, bank, labels, cfg("am"), 7)]
+        out += [lambda d=d: variant_loss(f, cosine, bank, labels, cfg("daam", d), 7) for d in ("DA", "DY")]
+        out += [lambda d=d, s=s: variant_loss(f, cosine, bank, labels, cfg("dasa", d, s), 7)
+                for d in ("none", "DA", "DY") for s in ("constant", "DA", "DY")]
+        # one ClassStats for every label, as margin_bound and the Monte Carlo suites pass it
+        out += [lambda: margin_bound(f, cosine, stats, labels, 0.3, 0.7),
+                lambda: losses._loss(f, affine, labels, cosine=False, stats=stats, lam=0.3)]
+        return out
+
+    for f_, labels_ in ((f, labels), (f[5], int(labels[5]))):
+        batched = [call() for call in calls(f_, labels_)]
+        with monkeypatch.context() as patch:
+            patch.setattr(losses, "_augment", per_label_augment)
+            looped = [call() for call in calls(f_, labels_)]
+        for got, want in zip(batched, looped):
+            assert_close_outputs(got, want)
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_value_only_is_the_value_of_the_full_call(mode):
+    rng = philox_rng(218)
+    C, F = 6, 5
+    W = rng.standard_normal((C, F))
+    labels = np.array([1, 3, 1, 4, 0, 3, 1])
+    f = np.array([unit(rng, F) for _ in labels])
+    bank = CovarianceBank(C, F, mode)
+    bank.update(rng.standard_normal((30, F)), np.arange(30) % C)
+    heads = {"softmax": ClassifierHead(weights=W, biases=rng.standard_normal(C)),
+             "isda": ClassifierHead(weights=W, biases=rng.standard_normal(C))}
+    for difficulty in ("DA", "DY"):
+        for variant in ("softmax", "isda", "am", "daam", "dasa"):
+            head = heads.get(variant, ClassifierHead(weights=W, scale=6.0, margin=0.25))
+            cfg = LossConfig(variant=variant, difficulty=difficulty, strength_mode=difficulty,
+                             lambda0=0.3, ramp_total_iters=10, deferred_fraction=0.2)
+            for emb, lab in ((f, labels), (f[2], int(labels[2]))):
+                full = variant_loss(emb, head, bank, lab, cfg, 7)
+                only = variant_loss(emb, head, bank, lab, cfg, 7, value_only=True)
+                assert type(only.value) is type(full.value)
+                assert np.array_equal(only.value, full.value)
+                assert only.grad_embedding is None and only.grad_weights is None
 
 
 # -- input validation -------------------------------------------------------------

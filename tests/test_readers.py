@@ -99,6 +99,7 @@ def expect_line(reader, path, text, line, match):
     (3, 0, "-1", "out of range"),
     (3, 0, "0", "duplicate class id 0"),
     (2, 1, "-3", "negative count"),
+    (2, 1, str(2**63), "count 9223372036854775808 too large"),  # the bank's counts are int64
     (2, 2, "nan", "non-finite"),
     (2, 5, "inf", "non-finite"),
     (2, 4, "-0.5", "negative variance"),
@@ -432,12 +433,55 @@ def test_cli_exits_2_naming_the_line_of_a_non_utf8_byte(tmp_path, capsys):
     assert f"{data}: line 2: " in capsys.readouterr().err
 
 
+# -- physical line numbers after a quoted line break -----------------------------
+
+
+def quote_break(text, line, cell):
+    """Quote one cell of a 1-based line with a line break inside it, which
+    moves every later row one physical line down."""
+    lines = text.split("\n")
+    cells = lines[line - 1].split(",")
+    cells[cell] = f'"{cells[cell]}\n"'
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def test_embedding_file_with_a_quoted_line_break_names_the_physical_line(tmp_path):
+    path = tmp_path / "emb.csv"
+    expect_line(read_embeddings, path, 'index,e0,e1\r\n0,"1\r\n",3\r\n1,nan,2\r\n', 4, "non-finite value")
+    expect_line(read_embeddings, path, 'index,"e0\r\n"\r\n', 3, "no data rows")
+
+
+@pytest.mark.parametrize("reader,text,quoted,defect,line,match", [
+    (read_dataset, dataset_text, (2, 1), (4, 1, "nan"), 5, "non-finite feature"),
+    (read_embeddings, embeddings_text, (2, 1), (3, 1, "nan"), 4, "non-finite value"),
+    (read_trials, trials_text, (2, 0), (3, 2, "7"), 4, "is_target must be 0 or 1"),
+    (load_model, lambda p: model_text(p, biases=False), (3, 1), (6, 3, "nan"), 7, "non-finite"),
+    (load_bank, lambda p: bank_text(FULL, p), (2, 2), (3, 1, "-1"), 4, "negative count"),
+])
+def test_each_reader_names_the_physical_line_after_a_quoted_line_break(
+        tmp_path, reader, text, quoted, defect, line, match):
+    clean = quote_break(text(tmp_path), *quoted)
+    path = tmp_path / "file.csv"
+    path.write_text(clean)
+    reader(path)  # a quoted line break alone is no defect
+    expect_line(reader, path, quote_break(set_cell(text(tmp_path), *defect), *quoted), line, match)
+
+
+def test_missing_rows_are_named_after_a_last_row_that_spans_lines(tmp_path):
+    text = "\n".join(bank_text(FULL, tmp_path).split("\n")[:3])  # a row short, no final newline
+    expect_line(load_bank, tmp_path / "bank.csv", quote_break(text, 3, 2), 5, "expected 3 rows, found 2")
+    lines = model_text(tmp_path, biases=True).split("\n")  # ..., line 10 HW, line 11 Hb
+    text = quote_break("\n".join(lines[:10]) + "\n", 10, 1)
+    expect_line(load_model, tmp_path / "model.csv", text, 12, "missing row 'Hb'")
+
+
 # -- block readers against the row-by-row readers --------------------------------
 
 
 def read_dataset_per_row(path):
     """Oracle: the row-by-row reader that read_dataset replaced."""
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     header = rows[0]
     if len(header) < 3 or header[0] != "label" or header[-1] != "split":
         raise ValueError(f"{path}: line 1: expected header 'label,x0,...,split'")
@@ -445,7 +489,7 @@ def read_dataset_per_row(path):
     if header[1:-1] != [f"x{i}" for i in range(d)]:
         raise ValueError(f"{path}: line 1: malformed feature columns")
     labels, feats, split = [], [], []
-    for ln, row in data_rows(path, rows, d + 2):
+    for ln, row in data_rows(path, rows, lines, d + 2):
         try:
             label = int(row[0])
             x = [float(v) for v in row[1:-1]]
@@ -465,12 +509,12 @@ def read_dataset_per_row(path):
 
 def read_embeddings_per_row(path):
     """Oracle: the row-by-row reader that read_embeddings replaced."""
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
     out = {}
-    for ln, row in data_rows(path, rows, len(header)):
+    for ln, row in data_rows(path, rows, lines, len(header)):
         try:
             idx = int(row[0])
             e = [float(v) for v in row[1:]]
@@ -489,10 +533,10 @@ def read_embeddings_per_row(path):
 def read_trials_per_row(path):
     """Oracle: the row-by-row reader that read_trials replaced."""
     ia, ib, tg = [], [], []
-    rows = read_csv_rows(path)
+    rows, lines = read_csv_rows(path)
     if rows[0] != ["index_a", "index_b", "is_target"]:
         raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
-    for ln, row in data_rows(path, rows, 3):
+    for ln, row in data_rows(path, rows, lines, 3):
         try:
             a, b, t = int(row[0]), int(row[1]), int(row[2])
         except ValueError as exc:

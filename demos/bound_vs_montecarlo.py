@@ -34,9 +34,9 @@ label = 2
 cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant",
                  lambda0=0.6, gamma=2.0, ramp_total_iters=10, deferred_fraction=0.0)
 out = dasa_bound(f, head, bank, label, cfg, t=10)
-lam = out.per_sample_terms["lambda"]
-coef = out.per_sample_terms["coef"]
-print(f"closed-form bound: {out.value:.6f}   (lam={lam}, difficulty coef={coef:.4f})")
+lam = out.per_sample_terms["lambda"][0]
+coef = out.per_sample_terms["coef"][0]
+print(f"closed-form bound: {out.value[0]:.6f}   (lam={lam}, difficulty coef={coef:.4f})")
 
 print("\n      M        MC mean        SE     slack  slack/SE")
 for M in (1000, 10000, 100000, 1000000):

@@ -45,8 +45,8 @@ class SynthSpec:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.samples_per_class < 2:
             raise ValueError(f"samples_per_class must be >= 2, got {self.samples_per_class}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.anisotropy < 1.0:
             raise ValueError(f"anisotropy must be in [0, 1), got {self.anisotropy}")
         if not 0.0 <= self.hard_pair_fraction <= 1.0:

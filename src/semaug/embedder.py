@@ -2,9 +2,10 @@
 
 Hidden layers use the rectifier max(a, 0); the final linear output is
 L2-normalized onto the unit sphere.  Gradients flow through the
-normalization via its exact Jacobian.  ``forward`` takes one input row or
-a (B, d_in) batch and ``backward`` sums the parameter gradients over the
-batch's rows.  A row whose pre-normalization output is all zero (possible
+normalization via its exact Jacobian.  ``forward`` takes a (B, d_in)
+batch, one input row (d_in,) being a batch of one, and returns (B, F)
+embeddings; ``backward`` sums the parameter gradients over the batch's
+rows.  A row whose pre-normalization output is all zero (possible
 when every rectifier unit is off) is replaced by the first basis vector
 and counted in ``fallback_count``; its local gradient is zero.
 """
@@ -21,16 +22,15 @@ _TINY = 1e-12
 
 @dataclass
 class ForwardCache:
-    """What ``backward`` needs from ``forward``: per-row arrays for a batch,
-    one row's arrays (and a float prenorm, a bool fallback) for one input."""
+    """What ``backward`` needs from ``forward``, one row per batch row."""
 
-    x: np.ndarray
-    pre: list            # preactivations of hidden layers
-    hidden: list         # rectified hidden outputs
-    v: np.ndarray        # final linear output, before normalization
-    prenorm: float | np.ndarray
-    f: np.ndarray
-    fallback: bool | np.ndarray
+    x: np.ndarray         # (B, d_in)
+    pre: list             # preactivations of hidden layers, (B, hidden)
+    hidden: list          # rectified hidden outputs, (B, hidden)
+    v: np.ndarray         # final linear output, before normalization, (B, F)
+    prenorm: np.ndarray   # (B,) norms of v
+    f: np.ndarray         # (B, F)
+    fallback: np.ndarray  # (B,) bool
 
 
 class TinyEmbedder:
@@ -74,15 +74,15 @@ class TinyEmbedder:
         return out
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
-        """Unit-norm embeddings of one input row (d_in,) or of a batch
-        (B, d_in), with the cache ``backward`` needs."""
+        """Unit-norm embeddings (B, F) of a batch (B, d_in) or of one input
+        row (d_in,) as a batch of one, with the cache ``backward`` needs."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        h = x[None, :] if single else x
+        h = x[None, :] if x.ndim == 1 else x
         if h.ndim != 2 or h.shape[1] != self.dim_in:
             raise ValueError(f"input has shape {x.shape}, expected ({self.dim_in},) or (B, {self.dim_in})")
         if not np.isfinite(h).all():
             raise ValueError("non-finite input")
+        x = h  # the cache keeps the batch of one
         pre, hidden = [], []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             a = h @ W.T + b
@@ -95,9 +95,6 @@ class TinyEmbedder:
         self.fallback_count += int(np.count_nonzero(dead))
         f = v / np.where(dead, 1.0, n)[:, None]
         f[dead] = np.eye(1, self.dim_out)[0]
-        if single:
-            return f[0], ForwardCache(x=x, pre=[a[0] for a in pre], hidden=[h[0] for h in hidden],
-                                      v=v[0], prenorm=float(n[0]), f=f[0], fallback=bool(dead[0]))
         return f, ForwardCache(x=x, pre=pre, hidden=hidden, v=v, prenorm=n, f=f, fallback=dead)
 
     def backward(self, cache: ForwardCache, grad_f) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -108,16 +105,13 @@ class TinyEmbedder:
         g = np.asarray(grad_f, dtype=float)
         if g.shape != cache.f.shape:
             raise ValueError(f"grad has shape {g.shape}, expected {cache.f.shape}")
-        rows = np.atleast_2d  # a single row's cache is a batch of one
-        g, f, x = rows(g), rows(cache.f), rows(cache.x)
-        hidden, pre = [rows(h) for h in cache.hidden], [rows(a) for a in cache.pre]
         # a fallback row's output is locally constant: dividing by inf zeroes it
         prenorm = np.where(cache.fallback, np.inf, cache.prenorm)
-        delta = (g - np.vecdot(g, f)[:, None] * f) / np.reshape(prenorm, (-1, 1))
+        delta = (g - np.vecdot(g, cache.f)[:, None] * cache.f) / prenorm[:, None]
         grads = [None] * len(self.weights)
-        inputs = [x] + hidden
+        inputs = [cache.x] + cache.hidden
         for layer in range(len(self.weights) - 1, -1, -1):
             grads[layer] = (delta.T @ inputs[layer], delta.sum(axis=0))
             if layer > 0:
-                delta = (delta @ self.weights[layer]) * (pre[layer - 1] > 0.0)
+                delta = (delta @ self.weights[layer]) * (cache.pre[layer - 1] > 0.0)
         return grads

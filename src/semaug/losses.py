@@ -19,13 +19,13 @@ u differs:
   frozen coef explicitly.
 
 ``variant_loss`` picks the variant a :class:`LossConfig` names.  Every
-function takes one embedding (F,) with an int label, or a batch (B, F)
-with labels (B,).  A batch returns per-row values, embedding gradients and
-``per_sample_terms`` of shape (B,), and the weight (and bias) gradients of
-the summed loss; one embedding is a batch of one and returns floats and
-(F,) gradients.  Gradients are returned for the embedding, the raw
-(unnormalized) weight rows, and, on the affine map, the biases; with
-``value_only=True`` a function returns the value alone, gradients None.
+function takes a batch (B, F) with labels (B,); one embedding (F,) with an
+int label is a batch of one.  Every call returns per-row values (B,),
+embedding gradients (B, F) and ``per_sample_terms`` entries (B,), and the
+weight (and bias) gradients of the summed loss.  Gradients are returned
+for the embedding rows, the raw (unnormalized) weight rows, and, on the
+affine map, the biases; with ``value_only=True`` a function returns the
+values alone, gradients None.
 The class covariance is treated as a constant: no gradient flows into the
 statistics bank.
 """
@@ -113,10 +113,12 @@ class LossConfig:
             self.difficulty = "none"
         if self.variant != "dasa":
             self.strength_mode = "constant"
-        if self.lambda0 < 0:
-            raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
+        if not 0 <= self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be >= 0 and finite, got {self.lambda0}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma == math.inf:
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.ramp_total_iters < 1:
             raise ValueError(f"ramp_total_iters must be >= 1, got {self.ramp_total_iters}")
         if not 0.0 <= self.deferred_fraction <= 1.0:
@@ -125,10 +127,11 @@ class LossConfig:
 
 @dataclass
 class LossOutput:
-    """Per-row value (a float for one embedding), gradients w.r.t. the
-    embedding rows, and gradients of the summed value w.r.t. the head."""
+    """Per-row values (B,), gradients w.r.t. the embedding rows (B, F),
+    gradients of the summed value w.r.t. the head, and per-row terms
+    ``cos_y``, ``coef`` and ``lambda`` (B,)."""
 
-    value: float | np.ndarray
+    value: np.ndarray
     grad_embedding: np.ndarray
     grad_weights: np.ndarray
     grad_biases: np.ndarray | None = None
@@ -277,13 +280,12 @@ def _augment(e, g, phi_rows, R, labels, lam, a: float, stats, value_only: bool) 
     first = np.concatenate(([0], np.flatnonzero(ls[1:] != ls[:-1]) + 1, [ls.size]))
     ys = ls[first[:-1]]
     group = np.repeat(np.arange(ys.size), np.diff(first))  # each row's label among ys
-    single = isinstance(stats, ClassStats)
     C, F = R.shape
     per = max(1, CHUNK_ELEMENTS // (C * F))
     for s in range(0, ys.size, per):
         y = ys[s:s + per]
         at = slice(first[s], first[min(s + per, ys.size)])
-        sig = stats.cov[None] if single else stats.cov.take(y, axis=0)
+        sig = stats.cov[None] if isinstance(stats, ClassStats) else stats.cov.take(y, axis=0)
         D = R - R.take(y, axis=0)[:, None, :]
         U = D @ sig if sig.ndim == 3 else D * sig[:, None, :]
         phi = np.einsum("lcf,lcf->lc", D, U)
@@ -363,9 +365,6 @@ def _loss(
         raise ValueError(f"lam must be >= 0, got {lam}")
     else:
         lam = float(lam)
-    if B == 1:  # a batch of one carries them as floats
-        coef, dcoef, lam, dlam = [x.item() if isinstance(x, np.ndarray) else x
-                                  for x in (coef, dcoef, lam, dlam)]
 
     e = a * (u - uy) + a * m * coef
     e.put(target, 0.0)  # target slot carries the constant exp(0) = 1; phi is 0 there
@@ -376,8 +375,7 @@ def _loss(
     emax, total, q = _softmax_parts(e)
     value = emax[:, 0] + np.array([math.log(t) for t in total[:, 0].tolist()])
     if value_only:
-        return LossOutput(value=float(value[0]) if np.ndim(embedding) == 1 else value,
-                          grad_embedding=None, grad_weights=None)
+        return LossOutput(value=value, grad_embedding=None, grad_weights=None)
     q.put(target, 0.0)
     # d(value)/d(u_y); d(value)/d(u_j) = a*q_j for j != y
     duy = (-a + a * m * dcoef) * q.sum(axis=1, keepdims=True)
@@ -392,9 +390,6 @@ def _loss(
         # chain through row normalization: w_hat = w/|w|
         g = (g - (g * R).sum(axis=1, keepdims=True) * R) / norms[:, None]
     cos_y = uy if cosine else _diag_cos(R.take(labels, axis=0), f)
-    if np.ndim(embedding) == 1:
-        return LossOutput(value=float(value[0]), grad_embedding=grad_f[0], grad_weights=g, grad_biases=grad_b,
-                          per_sample_terms={"cos_y": cos_y.item(), "coef": coef, "lambda": lam})
     terms = {"cos_y": cos_y, "coef": coef, "lambda": lam}
     return LossOutput(value=value, grad_embedding=grad_f, grad_weights=g, grad_biases=grad_b,
                       per_sample_terms={k: np.broadcast_to(v, (B, 1))[:, 0].copy() for k, v in terms.items()})
@@ -416,7 +411,8 @@ def isda_bound(
 ) -> LossOutput:
     """Closed-form bound on the expected cross entropy under Gaussian
     perturbation of the embedding with covariance lam*Cov_label: the
-    affine map with strength lam, so lam = 0 is ``softmax_ce`` itself."""
+    affine map with strength lam, so lam = 0 is ``softmax_ce`` itself.
+    ``bank`` may also be one ClassStats, read as every label's."""
     return _loss(embedding, head, label, cosine=False, stats=bank, lam=lam, value_only=value_only)
 
 
@@ -539,12 +535,14 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     (see :func:`finite_difference_error`).
 
     ``loss_fn(embedding, head, value_only=False) -> LossOutput`` must close
-    over everything else (label, bank, config); the finite differences call
-    it with ``value_only=True``.  Every entry of grad_embedding, grad_weights
-    and, when present, grad_biases is checked.  The default step 6e-5
-    (differences at 3e-5 and 6e-5) keeps the extrapolation's rounding
-    noise, about 2.7x that of one central difference at the same step,
-    below what tiny entries can absorb at the 1e-5 gate.
+    over everything else (label, bank, config); it is called on one
+    embedding (F,), a batch of one, and the finite differences call it
+    with ``value_only=True``.  Every entry of that row's grad_embedding,
+    of grad_weights and, when present, of grad_biases is checked.  The
+    default step 6e-5 (differences at 3e-5 and 6e-5) keeps the
+    extrapolation's rounding noise, about 2.7x that of one central
+    difference at the same step, below what tiny entries can absorb at the
+    1e-5 gate.
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must be in [1e-7, 1e-4], got {epsilon}")
@@ -555,9 +553,9 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     h = ClassifierHead(weights=W0, biases=b0, scale=head.scale, margin=head.margin)
 
     def value() -> float:
-        return loss_fn(f0, h, value_only=True).value  # h holds W0 and b0 themselves, perturbed in place
+        return loss_fn(f0, h, value_only=True).value[0]  # h holds W0 and b0 themselves, perturbed in place
 
-    pairs = [(f0, out.grad_embedding), (W0, out.grad_weights)]
+    pairs = [(f0, out.grad_embedding[0]), (W0, out.grad_weights)]
     if out.grad_biases is not None:
         pairs.append((b0, out.grad_biases))
     return finite_difference_error(value, pairs, epsilon)

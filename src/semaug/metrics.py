@@ -60,8 +60,8 @@ class DcfParams:
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        if not (self.c_miss > 0 and self.c_fa > 0):
-            raise ValueError("costs must be positive")
+        if not (0 < self.c_miss < np.inf and 0 < self.c_fa < np.inf):
+            raise ValueError("costs must be positive and finite")
 
 
 def build_trials(labels, max_nontarget_per_target, seed) -> TrialSet:

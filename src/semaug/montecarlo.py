@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ClassStats, sampler_factor
-from .losses import ClassifierHead, _loss, _normalized_rows, margin_bound
+from .losses import ClassifierHead, _normalized_rows, isda_bound, margin_bound
 from .rng import philox_rng
 
 _CHUNK = 1 << 14
@@ -56,8 +56,9 @@ class MomentReport:
     passed: bool
 
 
-def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int | None = None):
-    """Draw from N(f, lam*Cov + eps*I): one F-vector, or (count, F) rows.
+def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int):
+    """Draw (count, F) rows from N(f, lam*Cov + eps*I) around one embedding
+    f, given as (F,) or as a batch of one (1, F).
 
     lam = 0 returns exact copies of f (no jitter noise, no RNG use): the
     zero-strength Monte-Carlo estimate must equal the deterministic loss
@@ -66,16 +67,13 @@ def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int |
     f = np.asarray(embedding, dtype=float)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    n = 1 if count is None else int(count)
-    if n < 1:
+    if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if lam == 0.0:
-        draws = np.tile(f, (n, 1))
-    else:
-        L = sampler_factor(stats, lam)
-        z = rng.standard_normal((n, f.size))
-        draws = f[None, :] + z @ L.T
-    return draws[0] if count is None else draws
+        return np.tile(f, (count, 1))
+    L = sampler_factor(stats, lam)
+    z = rng.standard_normal((count, f.size))
+    return f + z @ L.T
 
 
 def _finish(losses: np.ndarray, bound_value: float) -> McReport:
@@ -99,7 +97,7 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
     compare against the closed-form bound on the same inputs."""
     if count < 100:
         raise ValueError(f"count must be >= 100, got {count}")
-    bound = _loss(embedding, head, label, cosine=False, stats=stats, lam=lam, value_only=True).value
+    bound = float(isda_bound(embedding, head, stats, lam, label, value_only=True).value[0])
     if lam == 0.0:
         # every draw is f itself, so the estimate is exact by construction
         return McReport(mean=bound, std_error=0.0, samples=count,
@@ -132,7 +130,7 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     coef = float(margin_coef)
     if coef < 0:
         raise ValueError(f"margin_coef must be >= 0, got {coef}")
-    bound = margin_bound(embedding, head, stats, label, lam, coef, value_only=True).value
+    bound = float(margin_bound(embedding, head, stats, label, lam, coef, value_only=True).value[0])
     if lam == 0.0:
         return McReport(mean=bound, std_error=0.0, samples=count,
                         bound_value=bound, slack=0.0, z_score=0.0)

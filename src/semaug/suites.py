@@ -107,7 +107,7 @@ def jensen_trial(family: str, trial: int, count: int, seed) -> BoundTrial:
                               scale=2.0 + 10.0 * rng.random(),
                               margin=0.05 + 0.35 * rng.random())
         # margin_da freezes the DA difficulty coefficient of the clean embedding
-        coef = 1.0 if family == "margin" else daam_softmax(f, head, label, "DA").per_sample_terms["coef"]
+        coef = 1.0 if family == "margin" else daam_softmax(f, head, label, "DA").per_sample_terms["coef"][0]
         report = mc_expected_margin(f, head, stats, lam, label, coef, count, mc_key)
     return BoundTrial(trial=trial, family=family, lam=lam, report=report)
 
@@ -136,7 +136,7 @@ def _tempered_scale(f, head: ClassifierHead, bank, label, cfg, t) -> float:
     scale. Every term in the spread scales with s (the quadratic one with
     s**2), so the loop terminates."""
     terms = variant_loss(f, head, bank, label, cfg, t).per_sample_terms
-    coef, lam = terms["coef"], terms["lambda"]
+    coef, lam = terms["coef"][0], terms["lambda"][0]
     What, _ = _normalized_rows(head.weights)
     rel = What @ f - float(What[label] @ f)
     rel = np.delete(rel, label)
@@ -246,7 +246,7 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         f0, cache = emb.forward(x)
         for _ in range(50):
             alive = all(int(np.count_nonzero(h > 0)) >= 2 for h in cache.hidden)
-            if not cache.fallback and cache.prenorm >= 0.5 and alive:
+            if not cache.fallback[0] and cache.prenorm[0] >= 0.5 and alive:
                 break
             x = rng.standard_normal(d_in)
             f0, cache = emb.forward(x)
@@ -265,17 +265,17 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         else:
             head = ClassifierHead(weights=W, biases=None,
                                   scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
-            head = replace(head, scale=_tempered_scale(f0, head, bank, label, cfg, 10))
+            head = replace(head, scale=_tempered_scale(f0[0], head, bank, label, cfg, 10))
 
         def loss_of(embedder: TinyEmbedder, hd: ClassifierHead, value_only: bool = False):
             f, cache = embedder.forward(x)
-            return variant_loss(f, hd, bank, label, cfg, 10, value_only=value_only), cache
+            return variant_loss(f[0], hd, bank, label, cfg, 10, value_only=value_only), cache
 
         loss, cache = loss_of(emb, head)
         param_grads = emb.backward(cache, loss.grad_embedding)
 
         def value() -> float:
-            return loss_of(emb, head, value_only=True)[0].value
+            return loss_of(emb, head, value_only=True)[0].value[0]
 
         pairs = [pair for layer, (gW, gb) in enumerate(param_grads)
                  for pair in ((emb.weights[layer], gW), (emb.biases[layer], gb))]

@@ -57,8 +57,12 @@ class TrainSettings:
             raise ValueError("learning rates must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be nonnegative and finite, got {self.margin}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if any(h < 1 for h in self.hidden):

@@ -1,0 +1,111 @@
+"""One rule for every numeric entry point: a 1-D input is a batch of one,
+and every result has batch shape.  An (F,) input must give results equal
+(==) to those of the same (1, F) batch."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from semaug.covariance import DIAGONAL, FULL, ClassStats, CovarianceBank
+from semaug.embedder import ForwardCache, TinyEmbedder
+from semaug.losses import (
+    ClassifierHead,
+    LossConfig,
+    am_softmax,
+    daam_softmax,
+    dasa_bound,
+    isda_bound,
+    margin_bound,
+    softmax_ce,
+    variant_loss,
+)
+from semaug.montecarlo import sample_augmented
+from semaug.rng import philox_rng
+
+C, F, LABEL = 5, 4, 2
+
+
+def _setup(mode):
+    rng = philox_rng(450)
+    W = rng.standard_normal((C, F))
+    affine = ClassifierHead(weights=W, biases=rng.standard_normal(C))
+    cosine = ClassifierHead(weights=W, scale=6.0, margin=0.25)
+    bank = CovarianceBank(C, F, mode)
+    pts = rng.standard_normal((9, F))
+    bank.update(pts, np.full(9, LABEL))
+    f = rng.standard_normal(F)
+    return affine, cosine, bank, f / np.linalg.norm(f)
+
+
+def _dasa(strength):
+    return LossConfig(variant="dasa", difficulty="DA", strength_mode=strength, lambda0=0.3,
+                      ramp_total_iters=10, deferred_fraction=0.2)
+
+
+# name -> loss(embedding, label, affine head, cosine head, bank, value_only)
+LOSSES = {
+    "softmax_ce": lambda f, y, aff, cos, bank, vo: softmax_ce(f, aff, y, value_only=vo),
+    "isda_bound": lambda f, y, aff, cos, bank, vo: isda_bound(f, aff, bank, 0.3, y, value_only=vo),
+    "am_softmax": lambda f, y, aff, cos, bank, vo: am_softmax(f, cos, y, value_only=vo),
+    "daam_softmax": lambda f, y, aff, cos, bank, vo: daam_softmax(f, cos, y, "DY", 2.0, value_only=vo),
+    "dasa_bound": lambda f, y, aff, cos, bank, vo: dasa_bound(f, cos, bank, y, _dasa("DY"), 7, value_only=vo),
+    "margin_bound": lambda f, y, aff, cos, bank, vo: margin_bound(f, cos, bank.stats[LABEL], y, 0.3, 0.6,
+                                                                  value_only=vo),
+    "variant_loss": lambda f, y, aff, cos, bank, vo: variant_loss(f, cos, bank, y, _dasa("constant"), 7,
+                                                                  value_only=vo),
+}
+
+
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+@pytest.mark.parametrize("value_only", [False, True])
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_a_loss_takes_one_embedding_as_a_batch_of_one(name, value_only, mode):
+    affine, cosine, bank, f = _setup(mode)
+    loss = LOSSES[name]
+    one = loss(f, LABEL, affine, cosine, bank, value_only)
+    batch = loss(f[None, :], np.array([LABEL]), affine, cosine, bank, value_only)
+    assert one.value.shape == (1,)
+    np.testing.assert_array_equal(one.value, batch.value, strict=True)
+    if value_only:
+        assert one.grad_embedding is None and one.grad_weights is None and one.per_sample_terms == {}
+        return
+    assert one.grad_embedding.shape == (1, F)
+    np.testing.assert_array_equal(one.grad_embedding, batch.grad_embedding, strict=True)
+    np.testing.assert_array_equal(one.grad_weights, batch.grad_weights, strict=True)
+    assert (one.grad_biases is None) == (batch.grad_biases is None)
+    if one.grad_biases is not None:
+        np.testing.assert_array_equal(one.grad_biases, batch.grad_biases, strict=True)
+    assert set(one.per_sample_terms) == set(batch.per_sample_terms) == {"cos_y", "coef", "lambda"}
+    for key, value in one.per_sample_terms.items():
+        assert value.shape == (1,), key
+        np.testing.assert_array_equal(value, batch.per_sample_terms[key], strict=True)
+
+
+def test_the_embedder_takes_one_row_as_a_batch_of_one():
+    rng = philox_rng(451)
+    net = TinyEmbedder([3, 6, F], rng)
+    x = rng.standard_normal(3)
+    f_one, one = net.forward(x)
+    f_batch, batch = net.forward(x[None, :])
+    assert f_one.shape == (1, F)
+    np.testing.assert_array_equal(f_one, f_batch, strict=True)
+    for field in fields(ForwardCache):
+        a, b = getattr(one, field.name), getattr(batch, field.name)
+        for u, v in zip(a, b) if isinstance(a, list) else [(a, b)]:
+            assert u.shape[0] == 1, field.name
+            np.testing.assert_array_equal(u, v, strict=True)
+    upstream = rng.standard_normal((1, F))
+    for (aW, ab), (bW, bb) in zip(net.backward(one, upstream), net.backward(batch, upstream)):
+        np.testing.assert_array_equal(aW, bW, strict=True)
+        np.testing.assert_array_equal(ab, bb, strict=True)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+@pytest.mark.parametrize("count", [1, 3])
+def test_the_sampler_takes_one_embedding_as_a_batch_of_one(count, lam):
+    _, _, bank, f = _setup(FULL)
+    one = sample_augmented(f, bank.stats[LABEL], lam, philox_rng(452), count)
+    batch = sample_augmented(f[None, :], bank.stats[LABEL], lam, philox_rng(452), count)
+    assert one.shape == (count, F)
+    np.testing.assert_array_equal(one, batch, strict=True)

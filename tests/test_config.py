@@ -65,6 +65,16 @@ def test_typed_parsing_and_bad_values():
     ("model.hidden", "16,-2", "hidden sizes must be >= 1, got [16, -2]"),
     ("model.embed_dim", "0", "embed_dim must be >= 1, got 0"),
     ("stats.mode", "bogus", "cov_mode must be 'full' or 'diagonal', got 'bogus'"),
+    ("data.sigma", "inf", "sigma must be positive and finite, got inf"),
+    ("loss.lambda0", "inf", "lambda0 must be >= 0 and finite, got inf"),
+    ("loss.gamma", "inf", "gamma must be finite, got inf"),
+    ("eval.c_miss", "inf", "costs must be positive and finite"),
+    ("eval.c_fa", "inf", "costs must be positive and finite"),
+    ("loss.scale", "inf", "scale must be positive and finite, got inf"),
+    ("loss.scale", "0", "scale must be positive and finite, got 0.0"),
+    ("loss.margin", "-1", "margin must be nonnegative and finite, got -1.0"),
+    ("loss.margin", "inf", "margin must be nonnegative and finite, got inf"),
+    ("opt.weight_decay", "inf", "weight_decay must be >= 0 and finite"),
 ])
 def test_a_value_its_dataclass_rejects_names_key_and_source(tmp_path, capsys, key, value, message):
     expected = f"bad value for {key!r}: {message}"

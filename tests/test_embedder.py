@@ -16,9 +16,9 @@ def test_single_linear_layer_identity():
     net = TinyEmbedder([3, 3])  # zero weights
     net.weights[0] = np.eye(3)
     f, cache = net.forward(np.array([2.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(f, [1.0, 0.0, 0.0])
-    assert cache.prenorm == 2.0
-    assert not cache.fallback
+    np.testing.assert_array_equal(f, [[1.0, 0.0, 0.0]])
+    assert cache.prenorm.tolist() == [2.0]
+    assert cache.fallback.tolist() == [False]
     assert cache.hidden == []
 
 
@@ -42,8 +42,8 @@ def test_forward_matches_straight_line_reimplementation():
         h2 = np.maximum(net.weights[1] @ h1 + net.biases[1], 0.0)
         v = net.weights[2] @ h2 + net.biases[2]
         f, cache = net.forward(x)
-        np.testing.assert_allclose(f, v / np.linalg.norm(v), atol=1e-12)
-        np.testing.assert_allclose(cache.v, v, atol=1e-12)
+        np.testing.assert_allclose(f, [v / np.linalg.norm(v)], atol=1e-12)
+        np.testing.assert_allclose(cache.v, [v], atol=1e-12)
 
 
 def test_normalization_kills_the_radial_gradient_component():
@@ -63,7 +63,7 @@ def test_gradient_is_linear_in_the_upstream_vector():
     rng = philox_rng(404)
     x = rng.standard_normal(4)
     _, cache = net.forward(x)
-    g1, g2 = rng.standard_normal(3), rng.standard_normal(3)
+    g1, g2 = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
     a = net.backward(cache, g1)
     b = net.backward(cache, g2)
     c = net.backward(cache, g1 + 2.0 * g2)
@@ -75,7 +75,7 @@ def test_gradient_is_linear_in_the_upstream_vector():
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     net = make_net([4, 5, 3], seed=5)
     _, cache = net.forward(philox_rng(405).standard_normal(4))
-    for gW, gb in net.backward(cache, np.zeros(3)):
+    for gW, gb in net.backward(cache, np.zeros((1, 3))):
         assert np.all(gW == 0.0) and np.all(gb == 0.0)
 
 
@@ -86,10 +86,10 @@ def test_parameter_gradients_match_finite_differences():
     u = rng.standard_normal(3)  # loss = u . f
 
     def loss():
-        return float(u @ net.forward(x)[0])
+        return float(u @ net.forward(x)[0][0])
 
     _, cache = net.forward(x)
-    grads = net.backward(cache, u)
+    grads = net.backward(cache, u[None, :])
     eps = 1e-6
     for layer, (gW, gb) in enumerate(grads):
         for arr, g in ((net.weights[layer], gW), (net.biases[layer], gb)):
@@ -111,10 +111,10 @@ def test_all_dead_fallback_is_counted_and_locally_flat():
     net = TinyEmbedder([2, 3, 4])  # zero weights: every unit is off
     assert net.fallback_count == 0
     f, cache = net.forward(np.array([1.0, -1.0]))
-    np.testing.assert_array_equal(f, [1.0, 0.0, 0.0, 0.0])
-    assert cache.fallback
+    np.testing.assert_array_equal(f, [[1.0, 0.0, 0.0, 0.0]])
+    assert cache.fallback.tolist() == [True]
     assert net.fallback_count == 1
-    grads = net.backward(cache, np.ones(4))
+    grads = net.backward(cache, np.ones((1, 4)))
     for gW, gb in grads:
         assert np.all(gW == 0.0) and np.all(gb == 0.0)
     net.forward(np.array([0.5, 0.5]))
@@ -131,9 +131,9 @@ def test_all_dead_fallback_is_counted_and_locally_flat():
     assert cache.fallback.tolist() == [True, False, True]
     np.testing.assert_array_equal(F[[0, 2]], [[1.0, 0.0, 0.0, 0.0]] * 2)
     live_f, live_cache = net.forward(X[1])
-    np.testing.assert_allclose(F[1], live_f, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(F[1:2], live_f, rtol=1e-12, atol=0)
     upstream = philox_rng(410).standard_normal((3, 4))
-    for (gW, gb), (lW, lb) in zip(net.backward(cache, upstream), net.backward(live_cache, upstream[1])):
+    for (gW, gb), (lW, lb) in zip(net.backward(cache, upstream), net.backward(live_cache, upstream[1:2])):
         np.testing.assert_allclose(gW, lW, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(gb, lb, rtol=1e-12, atol=1e-15)
 
@@ -147,9 +147,9 @@ def test_batch_forward_and_backward_match_rows():
     F, cache = net.forward(X)
     assert F.shape == (9, 3) and cache.prenorm.shape == (9,) and cache.fallback.shape == (9,)
     rows = [net.forward(x) for x in X]
-    np.testing.assert_allclose(F, [f for f, _ in rows], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(cache.prenorm, [c.prenorm for _, c in rows], rtol=1e-12, atol=0)
-    per_row = [net.backward(c, g) for (_, c), g in zip(rows, upstream)]
+    np.testing.assert_allclose(F, [f[0] for f, _ in rows], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.prenorm, [c.prenorm[0] for _, c in rows], rtol=1e-12, atol=0)
+    per_row = [net.backward(c, g[None, :]) for (_, c), g in zip(rows, upstream)]
     summed = [(sum(r[0] for r in layer), sum(r[1] for r in layer)) for layer in zip(*per_row)]
     for (gW, gb), (sW, sb) in zip(net.backward(cache, upstream), summed):
         assert np.max(np.abs(gW - sW)) <= 1e-12 * np.max(np.abs(sW))

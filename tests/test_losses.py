@@ -125,7 +125,7 @@ def test_softmax_hand_case_equal_logits():
     head = ClassifierHead(weights=np.eye(2))
     out = softmax_ce(np.array([1.0, 1.0]), head, 0)
     assert out.value == pytest.approx(math.log(2.0), abs=1e-15)
-    np.testing.assert_allclose(out.grad_embedding, [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(out.grad_embedding, [[-0.5, 0.5]], atol=1e-15)
     np.testing.assert_allclose(out.grad_weights, [[-0.5, -0.5], [0.5, 0.5]], atol=1e-15)
     assert out.grad_biases is None
 
@@ -398,10 +398,10 @@ def test_batch_rows_match_single_row_calls(mode):
         batch = variant_loss(f, head, bank, labels, config, t)
         rows = [variant_loss(f[i], head, bank, int(labels[i]), config, t) for i in range(len(labels))]
         assert batch.value.shape == (len(labels),) and batch.grad_embedding.shape == f.shape
-        assert _rel(batch.value, [r.value for r in rows]) <= 1e-12
-        assert _rel(batch.grad_embedding, [r.grad_embedding for r in rows]) <= 1e-12
+        assert _rel(batch.value, [r.value[0] for r in rows]) <= 1e-12
+        assert _rel(batch.grad_embedding, [r.grad_embedding[0] for r in rows]) <= 1e-12
         for key in ("cos_y", "coef", "lambda"):
-            want = [r.per_sample_terms[key] for r in rows]
+            want = [r.per_sample_terms[key][0] for r in rows]
             assert batch.per_sample_terms[key].shape == (len(labels),)
             assert _rel(batch.per_sample_terms[key], want) <= 1e-12 or not np.any(want)
         assert _rel(batch.grad_weights, sum(r.grad_weights for r in rows)) <= 1e-12
@@ -605,15 +605,15 @@ def test_saturated_margin_gradients_agree_absolutely():
         fp, fm = f.copy(), f.copy()
         fp[i] += eps
         fm[i] -= eps
-        fd = (am_softmax(fp, head, 0).value - am_softmax(fm, head, 0).value) / (2 * eps)
-        worst = max(worst, abs(out.grad_embedding[i] - fd))
+        fd = (am_softmax(fp, head, 0).value[0] - am_softmax(fm, head, 0).value[0]) / (2 * eps)
+        worst = max(worst, abs(out.grad_embedding[0, i] - fd))
     for idx in np.ndindex(W.shape):
         Wp, Wm = W.copy(), W.copy()
         Wp[idx] += eps
         Wm[idx] -= eps
         hp = ClassifierHead(weights=Wp, scale=32.0, margin=0.2)
         hm = ClassifierHead(weights=Wm, scale=32.0, margin=0.2)
-        fd = (am_softmax(f, hp, 0).value - am_softmax(f, hm, 0).value) / (2 * eps)
+        fd = (am_softmax(f, hp, 0).value[0] - am_softmax(f, hm, 0).value[0]) / (2 * eps)
         worst = max(worst, abs(out.grad_weights[idx] - fd))
     assert worst < 1e-8
 
@@ -636,7 +636,7 @@ def test_gradient_check_catches_a_planted_error():
         return fn
 
     assert loss_gradient_check(lambda e, h, **kw: isda_bound(e, h, bank, 0.05, 2, **kw), f, head) < 1e-5
-    for field, idx in (("grad_embedding", 1), ("grad_weights", (0, 1)), ("grad_biases", 3)):
+    for field, idx in (("grad_embedding", (0, 1)), ("grad_weights", (0, 1)), ("grad_biases", 3)):
         assert loss_gradient_check(planted(field, idx), f, head) > 4e-5, field
 
 

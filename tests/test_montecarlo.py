@@ -48,10 +48,11 @@ def test_sampler_shapes_and_validation():
     f = np.zeros(3)
     stats = ClassStats(0, 5, np.zeros(3), np.eye(3))
     rng = philox_rng(302)
-    assert sample_augmented(f, stats, 0.5, rng).shape == (3,)
     assert sample_augmented(f, stats, 0.5, rng, count=7).shape == (7, 3)
+    with pytest.raises(TypeError):
+        sample_augmented(f, stats, 0.5, rng)  # count is required
     with pytest.raises(ValueError):
-        sample_augmented(f, stats, -0.1, rng)
+        sample_augmented(f, stats, -0.1, rng, count=1)
     with pytest.raises(ValueError):
         sample_augmented(f, stats, 0.5, rng, count=0)
 

@@ -96,9 +96,9 @@ def test_gradient_is_right_next_to_the_difficulty_clamp():
     (6e-5) would straddle the clamp; a 1e-5 stencil stays inside it and
     checks the analytic gradient right there."""
     fn, f, head = _gradcheck_case("daam", 29, 39, kink_gap=0.0)
-    assert 0.0 < 1.0 - fn(f, head).per_sample_terms["cos_y"] < 2e-5
+    assert 0.0 < 1.0 - fn(f, head).per_sample_terms["cos_y"][0] < 2e-5
     assert loss_gradient_check(fn, f, head, epsilon=1e-5) < 1e-5
 
     fn, f, head = _gradcheck_case("daam", 29, 39, kink_gap=1.2e-4)
-    assert 1.0 - abs(fn(f, head).per_sample_terms["cos_y"]) > 1.2e-4
+    assert 1.0 - abs(fn(f, head).per_sample_terms["cos_y"][0]) > 1.2e-4
     assert _gradcheck_scenario("daam", 29, 39, 6e-5) < 1e-5

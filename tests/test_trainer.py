@@ -120,24 +120,24 @@ def per_sample_train(dataset, loss_config, settings):
             seen = []
             for i in batch:
                 f, cache = embedder.forward(X[i])
-                out = variant_loss(f, head, bank, int(y[i]), cfg, t)
-                per = out.per_sample_terms
-                sums = [a + b for a, b in zip(sums, (out.value, per["cos_y"], per["coef"], per["lambda"]))]
-                diag.append([t, int(i), per["cos_y"], per["coef"], per["lambda"], out.value])
+                out = variant_loss(f[0], head, bank, int(y[i]), cfg, t)
+                value, per = out.value[0], {k: v[0] for k, v in out.per_sample_terms.items()}
+                sums = [a + b for a, b in zip(sums, (value, per["cos_y"], per["coef"], per["lambda"]))]
+                diag.append([t, int(i), per["cos_y"], per["coef"], per["lambda"], value])
                 sample = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
                 sample.append(out.grad_weights)
                 if head.biases is not None:
                     sample.append(out.grad_biases)
                 for acc, g in zip(grads, sample):
                     acc += g
-                seen.append((f, int(y[i])))
+                seen.append((f[0], int(y[i])))
             if not settings.stats_after_deferred_only or t / total_iters >= cfg.deferred_fraction:
                 for f, label in seen:
                     bank.update(f, label)
             inv = 1.0 / len(batch)
             opt.step([g * inv for g in grads], t)
             t += 1
-        embs = np.array([embedder.forward(X[i])[0] for i in eval_idx])
+        embs = np.array([embedder.forward(X[i])[0][0] for i in eval_idx])
         scores = score_trials(embs, trials)
         metrics.append([v / n_train for v in sums] + [compute_eer(scores)[0], compute_min_dcf(scores, settings.dcf)])
     return np.array(metrics), embedder, head, bank, diag

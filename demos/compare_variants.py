@@ -10,8 +10,9 @@ confusable class pairs.
 
 import statistics
 
-from semaug.config import resolve, to_loss_config, to_synth_spec, to_train_settings
-from semaug.data import generate
+from semaug.config import build, resolve, to_train_settings
+from semaug.data import SynthSpec, generate
+from semaug.losses import LossConfig
 from semaug.trainer import train
 
 # a reduced version of the registry defaults; still large enough for the
@@ -25,9 +26,9 @@ variants = ("am", "daam", "dasa")
 eers = {v: [] for v in variants}
 print("seed   " + "   ".join(f"{v:>6s}" for v in variants))
 for seed in range(3):
-    data = generate(to_synth_spec({**cfg, "seed": seed}))
+    data = generate(build(SynthSpec, cfg, seed=seed))
     for v in variants:
-        run = train(data, to_loss_config(cfg, variant=v),
+        run = train(data, build(LossConfig, cfg, variant=v),
                     to_train_settings(cfg, seed=seed))
         eers[v].append(run.final_eer)
     print(f"{seed:4d}   " + "   ".join(f"{eers[v][-1]:.4f}" for v in variants))

@@ -19,20 +19,22 @@ import sys
 import numpy as np
 
 from .config import (
+    CompareSettings,
     ConfigError,
+    build,
     parse_config_file,
     parse_value,
     resolve,
-    to_dcf_params,
-    to_loss_config,
-    to_synth_spec,
     to_train_settings,
     write_config,
 )
 from .covariance import DegenerateCovarianceError, save_bank
-from .data import FLOAT, float_cells, generate, read_dataset, read_embeddings, write_csv, write_dataset, write_embeddings
-from .metrics import compute_eer, compute_min_dcf, format_metrics, read_trials, score_trials, write_scores, write_trials
-from .suites import composed_gradcheck, gradcheck_suite, jensen_suite, jensen_suite_passes
+from .data import (FLOAT, SynthSpec, float_cells, generate, read_dataset, read_embeddings, write_csv,
+                   write_dataset, write_embeddings)
+from .losses import LossConfig
+from .metrics import (DcfParams, compute_eer, compute_min_dcf, format_metrics, read_trials, score_trials,
+                      write_scores, write_trials)
+from .suites import BoundSettings, GradSettings, composed_gradcheck, gradcheck_suite, jensen_suite, jensen_suite_passes
 from .trainer import TrainingDivergedError, save_metrics, save_model, train
 
 GRAD_THRESHOLD = 1e-5
@@ -88,7 +90,7 @@ def _outdir(cfg: dict) -> str:
 
 
 def cmd_gen(cfg: dict, args) -> int:
-    ds = generate(to_synth_spec(cfg))
+    ds = generate(build(SynthSpec, cfg))
     out = _outdir(cfg)
     path = os.path.join(out, "dataset.csv")
     write_dataset(ds, path)
@@ -101,7 +103,7 @@ def cmd_train(cfg: dict, args) -> int:
     ds = read_dataset(cfg["train.dataset"])
     out = _outdir(cfg)
     diag = os.path.join(out, "diagnostics.csv") if cfg["train.diagnostics"] else None
-    run = train(ds, to_loss_config(cfg), to_train_settings(cfg, diagnostics_path=diag))
+    run = train(ds, build(LossConfig, cfg), to_train_settings(cfg, diagnostics_path=diag))
     save_metrics(os.path.join(out, "metrics.csv"), run.metrics)
     save_model(os.path.join(out, "model.csv"), run.embedder, run.head)
     save_bank(run.bank, os.path.join(out, "bank.csv"))
@@ -114,23 +116,17 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_compare(cfg: dict, args) -> int:
-    raw = [v.strip() for v in cfg["compare.variants"].split(",") if v.strip()]
-    variants = list(dict.fromkeys(raw))
-    if len(variants) < len(raw):
+    settings = build(CompareSettings, cfg)
+    variants = list(dict.fromkeys(settings.variants))
+    if len(variants) < len(settings.variants):
         print("warning: duplicate variants removed", file=sys.stderr)
-    if len(variants) < 2:
-        raise ConfigError("compare needs at least 2 distinct variants")
-    try:
-        seeds = [int(s) for s in cfg["compare.seeds"].split(",")]
-    except ValueError:
-        raise ConfigError(f"bad compare.seeds: {cfg['compare.seeds']!r}") from None
     out = _outdir(cfg)
     row = "%s,%s,%s," + FLOAT + ",%d," + float_cells(2)
     lines = []
-    for seed in seeds:
-        ds = generate(to_synth_spec({**cfg, "seed": seed}))
+    for seed in settings.seeds:
+        ds = generate(build(SynthSpec, cfg, seed=seed))
         for v in variants:
-            lc = to_loss_config(cfg, variant=v)
+            lc = build(LossConfig, cfg, variant=v)
             run = train(ds, lc, to_train_settings(cfg, seed=seed))
             lines.append((row, (v, lc.difficulty, lc.strength_mode, cfg["loss.lambda0"], seed,
                                 run.final_eer, run.final_min_dcf)))
@@ -142,7 +138,8 @@ def cmd_compare(cfg: dict, args) -> int:
 
 
 def cmd_bound_check(cfg: dict, args) -> int:
-    results = jensen_suite(cfg["bound.trials"], cfg["bound.samples"], cfg["seed"])
+    settings = build(BoundSettings, cfg)
+    results = jensen_suite(settings.trials, settings.samples, cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "bound_check.csv")
     row = "%d,%s," + FLOAT + ",%d," + float_cells(5)
@@ -162,13 +159,14 @@ def cmd_bound_check(cfg: dict, args) -> int:
 
 
 def cmd_grad_check(cfg: dict, args) -> int:
-    results = gradcheck_suite(cfg["grad.trials"], cfg["grad.epsilon"], cfg["seed"])
-    results += composed_gradcheck(cfg["grad.composed_trials"], cfg["grad.epsilon"], cfg["seed"])
+    settings = build(GradSettings, cfg)
+    results = gradcheck_suite(settings.trials, settings.epsilon, cfg["seed"])
+    results += composed_gradcheck(settings.composed_trials, settings.epsilon, cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "grad_check.csv")
     row = "%s,%s,%d," + float_cells(2)
     write_csv(path, ["kind", "variant", "trial", "epsilon", "max_rel_error"],
-              ((row, (r.kind, r.variant, r.trial, cfg["grad.epsilon"], r.max_rel_error)) for r in results))
+              ((row, (r.kind, r.variant, r.trial, settings.epsilon, r.max_rel_error)) for r in results))
     write_config(os.path.join(out, "grad_check.config"), cfg)
     bad = [r for r in results if not r.max_rel_error < GRAD_THRESHOLD]
     if bad:
@@ -197,7 +195,7 @@ def cmd_score(cfg: dict, args) -> int:
     )
     scores = score_trials(mat, remapped)
     eer, _ = compute_eer(scores)
-    mdcf = compute_min_dcf(scores, to_dcf_params(cfg))
+    mdcf = compute_min_dcf(scores, build(DcfParams, cfg))
     out = _outdir(cfg)
     write_scores(os.path.join(out, "scores.csv"), trials, scores)
     write_config(os.path.join(out, "score.config"), cfg)
@@ -223,7 +221,7 @@ def entry(argv=None) -> int:
     except (TrainingDivergedError, DegenerateCovarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

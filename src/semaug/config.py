@@ -8,17 +8,19 @@ reproduces the outputs byte for byte.
 
 Most keys stand for a field of a settings dataclass; ``FIELDS`` maps each
 to its dataclass and field.  Such a key's default is the field's default,
-so the library and the command line share one set of defaults, and the
-``to_*`` builders fill each dataclass from the same table.
+so the library and the command line share one set of defaults, and
+:func:`build` fills each dataclass from the same table.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 from .data import SynthSpec, utf8_error
-from .losses import LossConfig
+from .losses import VARIANTS, LossConfig
 from .metrics import DcfParams
+from .suites import BoundSettings, GradSettings
 from .trainer import TrainSettings
 
 
@@ -26,10 +28,34 @@ class ConfigError(ValueError):
     pass
 
 
+@dataclass
+class CompareSettings:  # a variant named twice runs once
+    variants: list = field(default_factory=lambda: ["am", "daam", "dasa"])
+    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+
+    def __post_init__(self):
+        for v in self.variants:
+            if v not in VARIANTS:
+                raise ValueError(f"each variant must be one of {VARIANTS}, got {v!r}")
+        if len(set(self.variants)) < 2:
+            raise ValueError(f"compare needs at least 2 distinct variants, got {list(self.variants)}")
+        if not self.seeds:
+            raise ValueError("seeds must hold at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+
+
 def _float(s: str) -> float:
     v = float(s)
     if math.isnan(v):
         raise ValueError("nan is not a valid config value")
+    return v
+
+
+def _flag(s: str) -> int:
+    v = int(s)
+    if v not in (0, 1):
+        raise ValueError(f"must be 0 or 1, got {v}")
     return v
 
 
@@ -59,28 +85,42 @@ FIELDS = {
     "opt.momentum": (_float, TrainSettings, "momentum"),
     "opt.weight_decay": (_float, TrainSettings, "weight_decay"),
     "stats.mode": (str, TrainSettings, "cov_mode"),
-    "stats.after_deferred_only": (int, TrainSettings, "stats_after_deferred_only"),
+    "stats.after_deferred_only": (_flag, TrainSettings, "stats_after_deferred_only"),
     "eval.max_nontarget_per_target": (_float, TrainSettings, "max_nontarget_per_target"),
     "eval.p_target": (_float, DcfParams, "p_target"),
     "eval.c_miss": (_float, DcfParams, "c_miss"),
     "eval.c_fa": (_float, DcfParams, "c_fa"),
+    "compare.variants": (str, CompareSettings, "variants"),
+    "compare.seeds": (str, CompareSettings, "seeds"),
+    "bound.trials": (int, BoundSettings, "trials"),
+    "bound.samples": (int, BoundSettings, "samples"),
+    "grad.trials": (int, GradSettings, "trials"),
+    "grad.composed_trials": (int, GradSettings, "composed_trials"),
+    "grad.epsilon": (_float, GradSettings, "epsilon"),
 }
 
 
-def hidden_sizes(cfg: dict) -> list:
-    text = cfg["model.hidden"].strip()
-    if not text:
-        return []
-    try:
-        return [int(s.strip(), 10) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad value for 'model.hidden': {cfg['model.hidden']!r}") from None
+def _int_list(key: str):  # blank text is no ints
+    def ints(cfg: dict) -> list:
+        text = cfg[key].strip()
+        if not text:
+            return []
+        try:
+            return [int(s.strip(), 10) for s in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from None
+    return ints
 
+
+hidden_sizes = _int_list("model.hidden")
 
 # Keys whose value has another form than their field: key -> (cfg -> field
-# value, field value -> key value).  "model.hidden" is text like "32,16".
+# value, field value -> key value).  The comma lists are text like "32,16".
 _FORMS = {
     "model.hidden": (hidden_sizes, lambda sizes: ",".join(map(str, sizes))),
+    "compare.variants": (lambda cfg: [v.strip() for v in cfg["compare.variants"].split(",") if v.strip()],
+                         ",".join),
+    "compare.seeds": (_int_list("compare.seeds"), lambda seeds: ",".join(map(str, seeds))),
     "stats.after_deferred_only": (lambda cfg: bool(cfg["stats.after_deferred_only"]), int),
 }
 
@@ -95,19 +135,14 @@ REGISTRY = {
     **{key: (parser, _key_default(key, cls, name)) for key, (parser, cls, name) in FIELDS.items()},
     "out": (str, "out"),
     "train.dataset": (str, "dataset.csv"),
-    "train.diagnostics": (int, 0),
-    "compare.variants": (str, "am,daam,dasa"),
-    "compare.seeds": (str, "0,1,2,3,4"),
-    "bound.trials": (int, 50),
-    "bound.samples": (int, 100000),
-    "grad.trials": (int, 100),
-    "grad.composed_trials": (int, 10),
-    "grad.epsilon": (_float, 6e-5),
+    "train.diagnostics": (_flag, 0),
 }
 
 
-def _build(cls, cfg: dict, **extra):
-    """An instance of ``cls`` from its keys in ``cfg``; ``extra`` wins."""
+def build(cls, cfg: dict, **extra):
+    """An instance of ``cls`` from its keys in ``cfg``; ``extra`` wins.  A
+    field no key names, like ``LossConfig.ramp_total_iters``, keeps its
+    default."""
     kwargs = {name: _FORMS[key][0](cfg) if key in _FORMS else cfg[key]
               for key, (_, owner, name) in FIELDS.items() if owner is cls}
     return cls(**{**kwargs, **extra})
@@ -175,25 +210,8 @@ def write_config(path, cfg: dict) -> None:
         fh.write(serialize(cfg))
 
 
-def to_synth_spec(cfg: dict) -> SynthSpec:
-    return _build(SynthSpec, cfg)
-
-
-def to_loss_config(cfg: dict, variant: str | None = None) -> LossConfig:
-    """The loss set-up of ``cfg``, or of ``variant`` with the same keys.
-
-    ``ramp_total_iters`` keeps its default; the trainer replaces it with
-    its true horizon.
-    """
-    return _build(LossConfig, cfg, variant=cfg["loss.variant"] if variant is None else variant)
-
-
-def to_dcf_params(cfg: dict) -> DcfParams:
-    return _build(DcfParams, cfg)
-
-
 def to_train_settings(cfg: dict, seed: int | None = None,
                       diagnostics_path=None) -> TrainSettings:
-    return _build(TrainSettings, cfg, dcf=to_dcf_params(cfg),
-                  seed=cfg["seed"] if seed is None else seed,
-                  diagnostics_path=diagnostics_path)
+    return build(TrainSettings, cfg, dcf=build(DcfParams, cfg),
+                 seed=cfg["seed"] if seed is None else seed,
+                 diagnostics_path=diagnostics_path)

@@ -43,6 +43,9 @@ from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank
 VARIANTS = ("softmax", "isda", "am", "daam", "dasa")
 DIFFICULTY_MODES = ("none", "DA", "DY")
 STRENGTH_MODES = ("constant", "DA", "DY")
+# Default finite-difference step: it keeps the extrapolation's rounding noise
+# (2.7x one central difference's) below what tiny entries absorb at the 1e-5 gate.
+GRAD_EPSILON = 6e-5
 
 
 @dataclass
@@ -530,7 +533,12 @@ def finite_difference_error(value, pairs, epsilon: float) -> float:
     return worst
 
 
-def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, epsilon: float = 6e-5) -> float:
+def _check_epsilon(epsilon: float) -> None:
+    if not 1e-7 <= epsilon <= 1e-4:
+        raise ValueError(f"epsilon must be in [1e-7, 1e-4], got {epsilon}")
+
+
+def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, epsilon: float = GRAD_EPSILON) -> float:
     """Max relative error of analytic gradients vs finite differences
     (see :func:`finite_difference_error`).
 
@@ -538,14 +546,9 @@ def loss_gradient_check(loss_fn, embedding: np.ndarray, head: ClassifierHead, ep
     over everything else (label, bank, config); it is called on one
     embedding (F,), a batch of one, and the finite differences call it
     with ``value_only=True``.  Every entry of that row's grad_embedding,
-    of grad_weights and, when present, of grad_biases is checked.  The
-    default step 6e-5 (differences at 3e-5 and 6e-5) keeps the
-    extrapolation's rounding noise, about 2.7x that of one central
-    difference at the same step, below what tiny entries can absorb at the
-    1e-5 gate.
+    of grad_weights and, when present, of grad_biases is checked.
     """
-    if not 1e-7 <= epsilon <= 1e-4:
-        raise ValueError(f"epsilon must be in [1e-7, 1e-4], got {epsilon}")
+    _check_epsilon(epsilon)
     f0 = np.asarray(embedding, dtype=float).copy()
     W0 = head.weights.copy()
     b0 = None if head.biases is None else head.biases.copy()

@@ -26,6 +26,12 @@ from .losses import ClassifierHead, _normalized_rows, isda_bound, margin_bound
 from .rng import philox_rng
 
 _CHUNK = 1 << 14
+MIN_SAMPLES = 100  # fewer draws make the standard error itself unreliable
+
+
+def _check_count(count: int) -> None:
+    if count < MIN_SAMPLES:
+        raise ValueError(f"count must be >= {MIN_SAMPLES}, got {count}")
 
 
 @dataclass
@@ -95,8 +101,7 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
                    label: int, count: int, seed) -> McReport:
     """Estimate E[cross entropy of W f~ + b] over augmented embeddings and
     compare against the closed-form bound on the same inputs."""
-    if count < 100:
-        raise ValueError(f"count must be >= 100, got {count}")
+    _check_count(count)
     bound = float(isda_bound(embedding, head, stats, lam, label, value_only=True).value[0])
     if lam == 0.0:
         # every draw is f itself, so the estimate is exact by construction
@@ -125,8 +130,7 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     """Estimate the expected margin loss log(1 + sum_{j!=y} exp(s(u~_j - u~_y)
     + s*m*coef)) over augmented embeddings, coef frozen at the clean
     embedding, and compare against the matching closed-form bound."""
-    if count < 100:
-        raise ValueError(f"count must be >= 100, got {count}")
+    _check_count(count)
     coef = float(margin_coef)
     if coef < 0:
         raise ValueError(f"margin_coef must be >= 0, got {coef}")
@@ -161,8 +165,7 @@ def moment_identity_check(mu: float, sigma2: float, t: float, count: int, seed) 
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     if abs(t) * math.sqrt(sigma2) > 3.0:
         raise ValueError("t*sigma above 3 makes the MC variance unusable")
-    if count < 100:
-        raise ValueError(f"count must be >= 100, got {count}")
+    _check_count(count)
     closed = math.exp(t * mu + 0.5 * sigma2 * t * t)
     if sigma2 == 0.0 or t == 0.0:
         # degenerate distribution: the estimate is the constant itself

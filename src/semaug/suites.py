@@ -16,6 +16,7 @@ import numpy as np
 from .covariance import ClassStats, CovarianceBank, DIAGONAL, FULL, quadratic_forms
 from .embedder import TinyEmbedder
 from .losses import (
+    GRAD_EPSILON,
     VARIANTS,
     ClassifierHead,
     LossConfig,
@@ -23,6 +24,7 @@ from .losses import (
     finite_difference_error,
     loss_gradient_check,
     variant_loss,
+    _check_epsilon,
     _normalized_rows,
 )
 
@@ -31,12 +33,38 @@ from .losses import (
 # winner keeps every gradient entry large enough for central differences
 # to resolve; wider spreads push true entries below the difference noise.
 _SPREAD_CAP = 6.0
-from .montecarlo import McReport, mc_expected_ce, mc_expected_margin
+from .montecarlo import MIN_SAMPLES, McReport, mc_expected_ce, mc_expected_margin
 from .rng import philox_rng, rng_key
 
 BOUND_FAMILIES = ("ce", "margin", "margin_da")
 _FAMILY_ID = {"ce": 0, "margin": 1, "margin_da": 2}
 _VARIANT_ID = {"softmax": 10, "isda": 11, "am": 12, "daam": 13, "dasa": 14}
+
+
+@dataclass
+class GradSettings:
+    trials: int = 100
+    composed_trials: int = 10
+    epsilon: float = GRAD_EPSILON
+
+    def __post_init__(self):
+        for name in ("trials", "composed_trials"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_epsilon(self.epsilon)
+
+
+@dataclass
+class BoundSettings:
+    trials: int = 50
+    samples: int = 100000
+
+    def __post_init__(self):
+        # zero trials is a valid run: it checks nothing and times start-up alone
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        if self.samples < MIN_SAMPLES:
+            raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
 
 
 @dataclass

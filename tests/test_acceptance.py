@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from semaug.cli import entry
-from semaug.config import resolve, to_loss_config, to_synth_spec, to_train_settings
+from semaug.config import build, resolve, to_train_settings
 from semaug.covariance import CovarianceBank
-from semaug.data import generate
+from semaug.data import SynthSpec, generate
 from semaug.losses import (
     ClassifierHead,
     LossConfig,
@@ -280,9 +280,9 @@ def test_variant_ordering_on_hard_pair_data(capsys):
     variants = ("am", "daam", "dasa")
     eers = {v: [] for v in variants}
     for seed in range(5):
-        ds = generate(to_synth_spec({**cfg, "seed": seed}))
+        ds = generate(build(SynthSpec, cfg, seed=seed))
         for v in variants:
-            run = train(ds, to_loss_config(cfg, variant=v),
+            run = train(ds, build(LossConfig, cfg, variant=v),
                         to_train_settings(cfg, seed=seed))
             eers[v].append(run.final_eer)
     med = {v: statistics.median(eers[v]) for v in variants}

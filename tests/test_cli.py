@@ -140,6 +140,7 @@ def test_compare_needs_two_variants(tmp_path, capsys):
                   "--set", "compare.variants=am,am"])
     assert code == 2
     assert "2 distinct variants" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_bound_check_small_run_passes(tmp_path, capsys):
@@ -157,6 +158,23 @@ def test_bound_check_rejects_tiny_sample_counts(tmp_path, capsys):
                   "--set", "bound.samples=50"])
     assert code == 2
     assert "100" in capsys.readouterr().err
+
+
+def test_bound_check_with_zero_trials_passes_and_writes_a_header(tmp_path, capsys):
+    # a run that checks nothing measures start-up alone
+    out = tmp_path / "bc"
+    assert entry(["bound-check", "--out", str(out), "--set", "bound.trials=0"]) == 0
+    assert "all 0 trials within tolerance" in capsys.readouterr().out
+    assert (out / "bound_check.csv").read_text() == "trial,variant,lambda,M,mc_mean,se,bound,slack,z_score\n"
+
+
+def test_bound_check_reports_an_impossible_sample_count_as_a_usage_error(tmp_path, capsys):
+    # 80 TB of draws: numpy refuses the allocation at once, before any page is touched
+    out = tmp_path / "bc"
+    assert entry(["bound-check", "--out", str(out), "--set", "bound.trials=1",
+                  "--set", "bound.samples=10000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert not out.exists()
 
 
 def test_grad_check_small_run_passes(tmp_path, capsys):

@@ -6,21 +6,21 @@ import pytest
 from semaug.cli import entry
 from semaug.config import (
     REGISTRY,
+    CompareSettings,
     ConfigError,
+    build,
     hidden_sizes,
     parse_config_file,
     parse_value,
     resolve,
     serialize,
-    to_dcf_params,
-    to_loss_config,
-    to_synth_spec,
     to_train_settings,
     write_config,
 )
 from semaug.data import SynthSpec
 from semaug.losses import LossConfig
 from semaug.metrics import DcfParams
+from semaug.suites import BoundSettings, GradSettings
 from semaug.trainer import TrainSettings
 
 
@@ -75,6 +75,18 @@ def test_typed_parsing_and_bad_values():
     ("loss.margin", "-1", "margin must be nonnegative and finite, got -1.0"),
     ("loss.margin", "inf", "margin must be nonnegative and finite, got inf"),
     ("opt.weight_decay", "inf", "weight_decay must be >= 0 and finite"),
+    ("stats.after_deferred_only", "-7", "must be 0 or 1, got -7"),
+    ("train.diagnostics", "42", "must be 0 or 1, got 42"),
+    ("grad.trials", "-1", "trials must be >= 0, got -1"),
+    ("grad.composed_trials", "-3", "composed_trials must be >= 0, got -3"),
+    ("bound.trials", "-2", "trials must be >= 0, got -2"),
+    ("bound.samples", "5", "samples must be >= 100, got 5"),
+    ("grad.epsilon", "1e-3", "epsilon must be in [1e-7, 1e-4], got 0.001"),
+    ("compare.variants", "am,bogus",
+     "each variant must be one of ('softmax', 'isda', 'am', 'daam', 'dasa'), got 'bogus'"),
+    ("compare.variants", "am", "compare needs at least 2 distinct variants, got ['am']"),
+    ("compare.seeds", "0,-1", "seeds must be >= 0, got [0, -1]"),
+    ("compare.seeds", "", "seeds must hold at least one seed"),
 ])
 def test_a_value_its_dataclass_rejects_names_key_and_source(tmp_path, capsys, key, value, message):
     expected = f"bad value for {key!r}: {message}"
@@ -131,9 +143,8 @@ def test_serialize_is_sorted_and_reparseable():
 
 def test_library_defaults_are_the_registry_defaults():
     cfg = resolve()
-    assert to_synth_spec(cfg) == SynthSpec()
-    assert to_loss_config(cfg) == LossConfig()
-    assert to_dcf_params(cfg) == DcfParams()
+    for cls in (SynthSpec, LossConfig, DcfParams, GradSettings, BoundSettings, CompareSettings):
+        assert build(cls, cfg) == cls()
     assert to_train_settings(cfg) == TrainSettings()
 
 
@@ -146,7 +157,7 @@ def test_hidden_sizes_parsing():
 
 
 def test_synth_spec_constructor():
-    spec = to_synth_spec(resolve(overrides={"seed": 9, "data.sigma": 0.4}))
+    spec = build(SynthSpec, resolve(overrides={"seed": 9, "data.sigma": 0.4}))
     assert spec.seed == 9
     assert spec.sigma == 0.4
     assert spec.num_classes == 20
@@ -154,16 +165,16 @@ def test_synth_spec_constructor():
 
 def test_loss_config_constructor_coerces_modes():
     cfg = resolve()
-    dasa = to_loss_config(cfg)
+    dasa = build(LossConfig, cfg)
     assert dasa.variant == "dasa"
     assert dasa.difficulty == "DA"
     assert dasa.strength_mode == "DA"
-    am = to_loss_config(cfg, variant="am")
+    am = build(LossConfig, cfg, variant="am")
     assert am.difficulty == "none"
     assert am.strength_mode == "constant"
-    soft = to_loss_config(cfg, variant="softmax")
+    soft = build(LossConfig, cfg, variant="softmax")
     assert soft.difficulty == "none"
-    daam = to_loss_config(cfg, variant="daam")
+    daam = build(LossConfig, cfg, variant="daam")
     assert daam.difficulty == "DA"
     assert daam.strength_mode == "constant"
 

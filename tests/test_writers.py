@@ -242,7 +242,8 @@ def test_grad_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
     composed = [GradTrial("composed", "daam", k, e) for k, e in enumerate(errors[16:])]
     monkeypatch.setattr(cli, "gradcheck_suite", lambda trials, epsilon, seed: list(loss))
     monkeypatch.setattr(cli, "composed_gradcheck", lambda trials, epsilon, seed: composed)
-    for epsilon in ("6e-05", "5e-324", "0.1"):
+    # the step's range ends; 5e-324 and 0.1 are among the error cells
+    for epsilon in ("6e-05", "1e-7", "1e-4"):
         out = tmp_path / f"grad{epsilon}"
         assert entry(["grad-check", "--out", str(out), "--set", f"grad.epsilon={epsilon}"]) == 3
         same_file(out / "grad_check.csv", write_grad_check_per_cell, loss + composed, float(epsilon))

@@ -9,7 +9,6 @@ from .covariance import (
     ClassStats,
     CovarianceBank,
     DegenerateCovarianceError,
-    apply_cov,
     load_bank,
     quadratic_forms,
     sampler_factor,

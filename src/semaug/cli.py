@@ -182,7 +182,7 @@ def cmd_grad_check(cfg: dict, args) -> int:
 def cmd_score(cfg: dict, args) -> int:
     embs = read_embeddings(args.embeddings)
     trials = read_trials(args.trials)
-    missing = (set(trials.index_a) | set(trials.index_b)) - set(embs)
+    missing = (set(trials.index_a.tolist()) | set(trials.index_b.tolist())) - set(embs)
     if missing:
         raise ValueError(f"{args.trials}: indices missing from embeddings: {sorted(missing)[:5]}")
     order = sorted(embs)

@@ -224,30 +224,34 @@ class CovarianceBank:
         self.count[c] = n1
 
 
-def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> np.ndarray:
-    """Evaluate d_j^T Cov d_j with d_j = w_j - w_label against one class's cov.
+def forms_and_products(cov: np.ndarray, R: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic forms phi (L, C) and covariance products U (L, C, F) of a
+    stack of L labels, the one place where a covariance meets difference rows.
 
-    The label's own entry is exactly zero (its difference vector is zero).
-    One product U = D Cov (C x F x F, or C x F elementwise for a diagonal
-    covariance) gives every form as the row-wise dot d_j . U_j.
+    ``cov`` holds the labels' covariances (L, F, F) or variances (L, F); a
+    stack of one serves every label.  With D_l = R - R[labels[l]] for the
+    (C, F) rows R, U_l = D_l Cov_l and phi[l, j] = D_l[j] . U_l[j], with
+    phi[l, labels[l]] exactly 0.
     """
+    D = R - R.take(labels, axis=0)[:, None, :]
+    U = D @ cov if cov.ndim == 3 else D * cov[:, None, :]
+    phi = np.einsum("lcf,lcf->lc", D, U)
+    phi[np.arange(labels.size), labels] = 0.0
+    return phi, U
+
+
+def quadratic_forms(stats: ClassStats, head_weights: np.ndarray, label: int) -> np.ndarray:
+    """Evaluate d_j^T Cov d_j with d_j = w_j - w_label against one class's
+    cov: the one-label case of :func:`forms_and_products`.  The label's own
+    entry is exactly zero."""
     w = np.asarray(head_weights, dtype=float)
     dim = stats.mean.shape[0]
     if w.ndim != 2 or w.shape[1] != dim:
         raise ValueError(f"weights have shape {w.shape}, expected (C, {dim})")
     if not 0 <= label < w.shape[0]:
         raise ValueError(f"label {label} out of range for {w.shape[0]} weight rows")
-    diffs = w - w[label]
-    phi = np.einsum("cf,cf->c", diffs, apply_cov(stats, diffs))
-    phi[label] = 0.0
-    return phi
-
-
-def apply_cov(stats: ClassStats, rows: np.ndarray) -> np.ndarray:
-    """Right-multiply difference rows by the class covariance (any mode)."""
-    if stats.cov.ndim == 2:
-        return rows @ stats.cov
-    return rows * stats.cov
+    phi, _ = forms_and_products(stats.cov[None], w, np.array([label]))
+    return phi[0]
 
 
 def sampler_factor(stats: ClassStats, lam: float) -> np.ndarray:

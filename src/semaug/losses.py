@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank
+from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank, forms_and_products
 
 VARIANTS = ("softmax", "isda", "am", "daam", "dasa")
 DIFFICULTY_MODES = ("none", "DA", "DY")
@@ -260,9 +260,10 @@ def _augment(e, g, phi_rows, R, labels, lam, a: float, stats, value_only: bool) 
     ``lam`` is a (B, 1) column or one float for every row; ``stats`` is one
     ClassStats for every label or a CovarianceBank.  The distinct labels
     y of those rows are taken in chunks of :data:`CHUNK_ELEMENTS` // (C*F);
-    per chunk, one gather of their covariances Cov_y and one batched
-    product U = D Cov_y of the differences D = R - R_y give every label's
-    quadratic forms phi_y = rowwise D . U (with phi_y[y] = 0).  Once a row's
+    per chunk, one gather of their covariances Cov_y and one call of
+    :func:`~semaug.covariance.forms_and_products` give every label's
+    product U_y = D Cov_y of the differences D = R - R_y and its quadratic
+    forms phi_y = rowwise D . U_y (with phi_y[y] = 0).  Once a row's
     phi is added its e is final, so its softmax q and the weights
     w = lam*a^2 give the chunk's weight gradient: with s_y the sum of w*q
     over the rows of label y, g += sum_y s_y[:, None] * U_y and
@@ -289,10 +290,7 @@ def _augment(e, g, phi_rows, R, labels, lam, a: float, stats, value_only: bool) 
         y = ys[s:s + per]
         at = slice(first[s], first[min(s + per, ys.size)])
         sig = stats.cov[None] if isinstance(stats, ClassStats) else stats.cov.take(y, axis=0)
-        D = R - R.take(y, axis=0)[:, None, :]
-        U = D @ sig if sig.ndim == 3 else D * sig[:, None, :]
-        phi = np.einsum("lcf,lcf->lc", D, U)
-        phi[np.arange(y.size), y] = 0.0
+        phi, U = forms_and_products(sig, R, y)
         phi = phi.take(group[at] - s, axis=0)
         i = rows[at]
         lam_i = lam[i] if isinstance(lam, np.ndarray) else lam

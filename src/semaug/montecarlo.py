@@ -82,19 +82,31 @@ def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int):
     return f + z @ L.T
 
 
-def _finish(losses: np.ndarray, bound_value: float) -> McReport:
-    m = int(losses.size)
+def _estimate(embedding, stats: ClassStats, lam: float, count: int, seed, bound: float, loss_of) -> McReport:
+    """Mean and standard error of ``loss_of`` over ``count`` augmented draws
+    around the embedding, drawn in chunks of ``_CHUNK`` rows, reported
+    against the closed-form ``bound``."""
+    if lam == 0.0:
+        # every draw is f itself, so the estimate is exact by construction
+        return McReport(mean=bound, std_error=0.0, samples=count,
+                        bound_value=bound, slack=0.0, z_score=0.0)
+    f = np.asarray(embedding, dtype=float)
+    rng = philox_rng(seed)
+    losses = np.empty(count)
+    for done in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - done)
+        losses[done:done + n] = loss_of(sample_augmented(f, stats, lam, rng, count=n))
     mean = float(losses.mean())
-    se = float(losses.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    slack = float(bound_value) - mean
+    se = float(losses.std(ddof=1) / math.sqrt(count))  # count >= MIN_SAMPLES
+    slack = bound - mean
     if se > 0.0:
         z = slack / se
     elif abs(slack) <= 1e-9 * max(1.0, abs(mean)):
         z = 0.0
     else:
         z = math.copysign(math.inf, slack)
-    return McReport(mean=mean, std_error=se, samples=m,
-                    bound_value=float(bound_value), slack=slack, z_score=float(z))
+    return McReport(mean=mean, std_error=se, samples=count,
+                    bound_value=bound, slack=slack, z_score=float(z))
 
 
 def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: float,
@@ -103,26 +115,15 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
     compare against the closed-form bound on the same inputs."""
     _check_count(count)
     bound = float(isda_bound(embedding, head, stats, lam, label, value_only=True).value[0])
-    if lam == 0.0:
-        # every draw is f itself, so the estimate is exact by construction
-        return McReport(mean=bound, std_error=0.0, samples=count,
-                        bound_value=bound, slack=0.0, z_score=0.0)
-    f = np.asarray(embedding, dtype=float)
-    rng = philox_rng(seed)
-    W = head.weights
-    losses = np.empty(count)
-    done = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        draws = sample_augmented(f, stats, lam, rng, count=n)
-        Z = draws @ W.T
+
+    def loss_of(draws):
+        Z = draws @ head.weights.T
         if head.biases is not None:
             Z = Z + head.biases
         zmax = Z.max(axis=1)
-        lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
-        losses[done:done + n] = lse - Z[:, label]
-        done += n
-    return _finish(losses, bound)
+        return zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1)) - Z[:, label]
+
+    return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 
 
 def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: float,
@@ -135,26 +136,18 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     if coef < 0:
         raise ValueError(f"margin_coef must be >= 0, got {coef}")
     bound = float(margin_bound(embedding, head, stats, label, lam, coef, value_only=True).value[0])
-    if lam == 0.0:
-        return McReport(mean=bound, std_error=0.0, samples=count,
-                        bound_value=bound, slack=0.0, z_score=0.0)
-    f = np.asarray(embedding, dtype=float)
-    rng = philox_rng(seed)
     What, _ = _normalized_rows(head.weights)
-    s, m = head.scale, head.margin
-    base = s * m * coef
-    losses = np.empty(count)
-    done = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        draws = sample_augmented(f, stats, lam, rng, count=n)
+    s = head.scale
+    base = s * head.margin * coef
+
+    def loss_of(draws):
         U = draws @ What.T
         B = s * (U - U[:, [label]]) + base
         B[:, label] = 0.0  # target slot carries the constant exp(0) = 1
         bmax = B.max(axis=1)
-        losses[done:done + n] = bmax + np.log(np.exp(B - bmax[:, None]).sum(axis=1))
-        done += n
-    return _finish(losses, bound)
+        return bmax + np.log(np.exp(B - bmax[:, None]).sum(axis=1))
+
+    return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 
 
 def moment_identity_check(mu: float, sigma2: float, t: float, count: int, seed) -> MomentReport:

@@ -27,14 +27,14 @@ from .losses import (
     _check_epsilon,
     _normalized_rows,
 )
+from .montecarlo import MIN_SAMPLES, McReport, mc_expected_ce, mc_expected_margin
+from .rng import philox_rng, rng_key
 
 # Largest allowed spread (in nats) between margin-softmax exponents in a
 # gradient-check scenario. Keeping every class term within e**-6 of the
 # winner keeps every gradient entry large enough for central differences
 # to resolve; wider spreads push true entries below the difference noise.
 _SPREAD_CAP = 6.0
-from .montecarlo import MIN_SAMPLES, McReport, mc_expected_ce, mc_expected_margin
-from .rng import philox_rng, rng_key
 
 BOUND_FAMILIES = ("ce", "margin", "margin_da")
 _FAMILY_ID = {"ce": 0, "margin": 1, "margin_da": 2}
@@ -140,8 +140,8 @@ def jensen_trial(family: str, trial: int, count: int, seed) -> BoundTrial:
     return BoundTrial(trial=trial, family=family, lam=lam, report=report)
 
 
-def jensen_suite(trials: int, count: int, seed, families=BOUND_FAMILIES) -> list[BoundTrial]:
-    return [jensen_trial(fam, k, count, seed) for fam in families for k in range(trials)]
+def jensen_suite(trials: int, count: int, seed) -> list[BoundTrial]:
+    return [jensen_trial(fam, k, count, seed) for fam in BOUND_FAMILIES for k in range(trials)]
 
 
 def jensen_suite_passes(results: list[BoundTrial]) -> bool:
@@ -257,6 +257,7 @@ def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradT
 def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
     """Finite-difference checks of d(loss)/d(parameter) through the full
     embedding network and head, for every loss variant in rotation."""
+    _check_epsilon(epsilon)
     out = []
     for k in range(trials):
         variant = VARIANTS[k % len(VARIANTS)]

@@ -225,13 +225,14 @@ def test_score_accepts_sparse_indices(tmp_path, capsys):
 def test_score_reports_unknown_indices(tmp_path, capsys):
     vecs = np.eye(3)
     write_embeddings(tmp_path / "emb.csv", [0, 1, 2], vecs)
-    trials = TrialSet(index_a=np.array([0, 1]), index_b=np.array([1, 9]),
+    trials = TrialSet(index_a=np.array([12, 1]), index_b=np.array([1, 9]),
                       is_target=np.array([True, False]))
     write_trials(tmp_path / "trials.csv", trials)
     code = entry(["score", "--out", str(tmp_path / "s"),
                   str(tmp_path / "emb.csv"), str(tmp_path / "trials.csv")])
     assert code == 2
-    assert "missing" in capsys.readouterr().err
+    # plain ints, not numpy reprs such as np.int64(9)
+    assert capsys.readouterr().err == f"error: {tmp_path / 'trials.csv'}: indices missing from embeddings: [9, 12]\n"
 
 
 def test_bad_overrides_exit_with_usage_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ from semaug.covariance import (
     ClassStats,
     CovarianceBank,
     DegenerateCovarianceError,
-    apply_cov,
+    forms_and_products,
     load_bank,
     quadratic_forms,
     sampler_factor,
@@ -305,14 +305,24 @@ def test_quadratic_forms_input_validation():
         quadratic_forms(st, np.zeros((2, 3)), 5)
 
 
-def test_apply_cov_equals_direct_product():
-    rng = philox_rng(107)
-    pts = rng.standard_normal((20, 4))
-    full = fill_bank(pts, [0] * 20, 1, 4, FULL).stats[0]
-    diag = fill_bank(pts, [0] * 20, 1, 4, DIAGONAL).stats[0]
-    rows = rng.standard_normal((6, 4))
-    np.testing.assert_allclose(apply_cov(full, rows), rows @ full.cov, atol=1e-14)
-    np.testing.assert_allclose(apply_cov(diag, rows), rows * diag.cov, atol=1e-14)
+@pytest.mark.parametrize("mode", [FULL, DIAGONAL])
+def test_stacked_forms_equal_quadratic_forms_label_by_label(mode):
+    """The kernel over a stack of labels, some repeated, gives each label
+    the same bits as its one-label case, and phi is exactly 0 at each
+    label."""
+    rng = philox_rng(111)
+    for C, dim in ((2, 1), (7, 5), (40, 24), (130, 33)):
+        num_classes = min(C, 6)
+        pts = rng.standard_normal((12 * dim, dim))
+        bank = fill_bank(pts, rng.integers(0, num_classes, 12 * dim), num_classes, dim, mode)
+        W = rng.standard_normal((C, dim))
+        labels = rng.integers(0, num_classes, 5)
+        phi, U = forms_and_products(bank.cov.take(labels, axis=0), W, labels)
+        assert phi.shape == (5, C) and U.shape == (5, C, dim)
+        for l, y in enumerate(labels.tolist()):
+            assert np.array_equal(phi[l], quadratic_forms(bank.stats[y], W, y))
+            assert np.array_equal(U[l], forms_and_products(bank.cov[y][None], W, np.array([y]))[1][0])
+            assert phi[l, y] == 0.0
 
 
 # -- sampler factor --------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semaug import losses
-from semaug.covariance import CHUNK_ELEMENTS, DIAGONAL, FULL, ClassStats, CovarianceBank, apply_cov
+from semaug.covariance import CHUNK_ELEMENTS, DIAGONAL, FULL, ClassStats, CovarianceBank
 from semaug.losses import (
     ClassifierHead,
     LossConfig,
@@ -771,7 +771,7 @@ def _add_cov_term(g, q, w, U, y):
 def forms_and_product(stats, diffs, label):
     """Quadratic forms phi (phi_label = 0) and covariance product U = D Cov
     of the difference rows d_j = w_j - w_label against one class's cov."""
-    U = apply_cov(stats, diffs)
+    U = diffs @ stats.cov if stats.cov.ndim == 2 else diffs * stats.cov
     phi = np.einsum("cf,cf->c", diffs, U)
     phi[label] = 0.0
     return phi, U

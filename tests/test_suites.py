@@ -84,6 +84,14 @@ def test_composed_gradcheck_smoke():
     assert max(r.max_rel_error for r in results) < 1e-5
 
 
+def test_composed_gradcheck_rejects_a_step_out_of_range():
+    """The same step range as gradcheck_suite: a step of 0.5 is an error,
+    not a failed trial."""
+    for epsilon in (0.5, 1e-8):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            composed_gradcheck(1, epsilon, seed=0)
+
+
 def test_gradcheck_suite_is_deterministic():
     a = gradcheck_suite(1, 3e-5, seed=9)
     b = gradcheck_suite(1, 3e-5, seed=9)

@@ -34,7 +34,7 @@ from .data import (FLOAT, SynthSpec, float_cells, generate, read_dataset, read_e
 from .losses import LossConfig
 from .metrics import (DcfParams, compute_eer, compute_min_dcf, format_metrics, read_trials, score_trials,
                       write_scores, write_trials)
-from .suites import BoundSettings, GradSettings, composed_gradcheck, gradcheck_suite, jensen_suite, jensen_suite_passes
+from .suites import BoundSettings, GradSettings, composed_gradcheck, family_verdicts, gradcheck_suite, jensen_suite
 from .trainer import TrainingDivergedError, save_metrics, save_model, train
 
 GRAD_THRESHOLD = 1e-5
@@ -147,11 +147,15 @@ def cmd_bound_check(cfg: dict, args) -> int:
               ((row, (r.trial, r.family, r.lam, r.report.samples, r.report.mean, r.report.std_error,
                       r.report.bound_value, r.report.slack, r.report.z_score)) for r in results))
     write_config(os.path.join(out, "bound_check.config"), cfg)
-    if not jensen_suite_passes(results):
+    failed = [v for v in family_verdicts(results) if not v.passed]
+    if failed:
         for r in results:
             if r.report.z_score < -3.0:
                 print(f"bound violated: family={r.family} trial={r.trial} "
                       f"z={r.report.z_score:.2f}", file=sys.stderr)
+        for v in failed:
+            print(f"bound family failed: family={v.family} mean_slack={v.mean_slack:.3e} "
+                  f"z_below_-3={v.below}/{v.trials} z_nan={v.nan}", file=sys.stderr)
         print("bound check FAILED", file=sys.stderr)
         return 3
     print(f"{path}: all {len(results)} trials within tolerance")

@@ -259,20 +259,24 @@ def sampler_factor(stats: ClassStats, lam: float) -> np.ndarray:
 
     The jitter eps = 1e-9 * max(1, trace(lam*Cov)/F) guards against
     covariances that are positive semidefinite only up to rounding.
+    A lam that is negative, not finite, or large enough to overflow
+    lam*Cov raises ValueError.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     dim = stats.mean.shape[0]
-    if stats.cov.ndim == 1:
-        scaled = lam * stats.cov
-        eps = 1e-9 * max(1.0, float(np.sum(scaled)) / dim)
-        return np.diag(np.sqrt(scaled + eps))
     cov = stats.cov
-    asym = float(np.max(np.abs(cov - cov.T))) if dim > 0 else 0.0
-    if asym > 1e-8:
-        raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
+    if cov.ndim == 2:
+        asym = float(np.max(np.abs(cov - cov.T))) if dim > 0 else 0.0
+        if asym > 1e-8:
+            raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
     scaled = lam * cov
-    eps = 1e-9 * max(1.0, float(np.trace(scaled)) / dim)
+    trace = float(np.sum(scaled) if cov.ndim == 1 else np.trace(scaled))
+    if not math.isfinite(trace):
+        raise ValueError(f"class {stats.class_id}: lam * Cov is not finite at lam = {lam}")
+    eps = 1e-9 * max(1.0, trace / dim)
+    if cov.ndim == 1:
+        return np.diag(np.sqrt(scaled + eps))
     try:
         return np.linalg.cholesky(scaled + eps * np.eye(dim))
     except np.linalg.LinAlgError as exc:

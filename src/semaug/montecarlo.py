@@ -10,6 +10,13 @@ difficulty coefficient is evaluated once at the clean embedding.  That is
 precisely the quantity the closed form bounds, so the comparison is
 apples to apples.
 
+The draw loop is laid out class-major.  Each chunk of n draws consumes
+one (n, F) block of standard normals, as row-major draws would, but the
+draws are formed as the (F, n) array f + L z^T, and the per-draw losses
+work on (C, n) logits W (f + L z^T): every max, sum and log-sum-exp over
+classes runs along axis 0, across the whole chunk, instead of along a
+short last axis of length C.
+
 Zero strength short-circuits to the deterministic loss with zero standard
 error; no random numbers are consumed in that case.
 """
@@ -39,8 +46,9 @@ class McReport:
     """Empirical expected loss next to its closed-form bound.
 
     slack = bound_value - mean; z_score = slack / std_error, with the
-    convention that zero slack at zero standard error scores 0 and any
-    other zero-error mismatch scores signed infinity.
+    convention that zero slack at zero standard error scores 0, any
+    other zero-error mismatch scores signed infinity, and a NaN slack or
+    standard error scores NaN.
     """
 
     mean: float
@@ -66,20 +74,35 @@ def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int):
     """Draw (count, F) rows from N(f, lam*Cov + eps*I) around one embedding
     f, given as (F,) or as a batch of one (1, F).
 
+    The generator yields one (count, F) block z of standard normals, and
+    the draws are formed class-major as the C-contiguous (F, count) array
+    f + L z^T; the result is its transpose, so ``draws.T`` is contiguous
+    and ``W @ draws.T`` gives (C, count) logits without a copy.
+
     lam = 0 returns exact copies of f (no jitter noise, no RNG use): the
     zero-strength Monte-Carlo estimate must equal the deterministic loss
     with zero variance.
     """
     f = np.asarray(embedding, dtype=float)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    dim = stats.mean.shape[0]
+    if f.shape not in ((dim,), (1, dim)):
+        raise ValueError(f"embedding of shape {f.shape} does not fit class {stats.class_id}, "
+                         f"whose mean has shape {stats.mean.shape}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    f = f.reshape(dim)
     if lam == 0.0:
         return np.tile(f, (count, 1))
     L = sampler_factor(stats, lam)
-    z = rng.standard_normal((count, f.size))
-    return f + z @ L.T
+    draws = L @ rng.standard_normal((count, dim)).T
+    draws += f[:, None]
+    return draws.T
+
+
+def _logsumexp(Z):
+    """Log-sum-exp over the class axis (axis 0) of (C, n) logits."""
+    zmax = Z.max(axis=0)
+    return zmax + np.log(np.exp(Z - zmax).sum(axis=0))
 
 
 def _estimate(embedding, stats: ClassStats, lam: float, count: int, seed, bound: float, loss_of) -> McReport:
@@ -99,7 +122,9 @@ def _estimate(embedding, stats: ClassStats, lam: float, count: int, seed, bound:
     mean = float(losses.mean())
     se = float(losses.std(ddof=1) / math.sqrt(count))  # count >= MIN_SAMPLES
     slack = bound - mean
-    if se > 0.0:
+    if math.isnan(slack) or math.isnan(se):
+        z = math.nan  # not +inf: the suite's pass rule fails a family on any NaN z
+    elif se > 0.0:
         z = slack / se
     elif abs(slack) <= 1e-9 * max(1.0, abs(mean)):
         z = 0.0
@@ -117,11 +142,10 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
     bound = float(isda_bound(embedding, head, stats, lam, label, value_only=True).value[0])
 
     def loss_of(draws):
-        Z = draws @ head.weights.T
+        Z = head.weights @ draws.T
         if head.biases is not None:
-            Z = Z + head.biases
-        zmax = Z.max(axis=1)
-        return zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1)) - Z[:, label]
+            Z += head.biases[:, None]
+        return _logsumexp(Z) - Z[label]
 
     return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 
@@ -141,11 +165,10 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     base = s * head.margin * coef
 
     def loss_of(draws):
-        U = draws @ What.T
-        B = s * (U - U[:, [label]]) + base
-        B[:, label] = 0.0  # target slot carries the constant exp(0) = 1
-        bmax = B.max(axis=1)
-        return bmax + np.log(np.exp(B - bmax[:, None]).sum(axis=1))
+        U = What @ draws.T
+        B = s * (U - U[label]) + base
+        B[label] = 0.0  # target slot carries the constant exp(0) = 1
+        return _logsumexp(B)
 
     return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 
@@ -168,7 +191,7 @@ def moment_identity_check(mu: float, sigma2: float, t: float, count: int, seed) 
         x = mu + math.sqrt(sigma2) * rng.standard_normal(count)
         vals = np.exp(t * x)
         mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        se = float(vals.std(ddof=1) / math.sqrt(count))  # count >= MIN_SAMPLES
     rel_error = abs(mean - closed) / closed
     rel_se = se / closed
     return MomentReport(mc_mean=mean, std_error=se, closed_form=closed,

@@ -144,17 +144,38 @@ def jensen_suite(trials: int, count: int, seed) -> list[BoundTrial]:
     return [jensen_trial(fam, k, count, seed) for fam in BOUND_FAMILIES for k in range(trials)]
 
 
+@dataclass
+class FamilyVerdict:
+    """One bound family's tallies under the acceptance rule."""
+
+    family: str
+    trials: int
+    below: int  # trials with z < -3
+    nan: int  # trials with a NaN z
+    mean_slack: float
+
+    @property
+    def passed(self) -> bool:
+        # written so that a NaN mean slack fails
+        return self.nan == 0 and self.below / self.trials <= 0.02 and self.mean_slack >= 0.0
+
+
+def family_verdicts(results: list[BoundTrial]) -> list[FamilyVerdict]:
+    """Per-family tallies of the results, families in first-seen order."""
+    verdicts = []
+    for fam in dict.fromkeys(r.family for r in results):
+        reps = [r.report for r in results if r.family == fam]
+        verdicts.append(FamilyVerdict(family=fam, trials=len(reps),
+                                      below=sum(1 for r in reps if r.z_score < -3.0),
+                                      nan=sum(1 for r in reps if math.isnan(r.z_score)),
+                                      mean_slack=sum(r.slack for r in reps) / len(reps)))
+    return verdicts
+
+
 def jensen_suite_passes(results: list[BoundTrial]) -> bool:
-    """Acceptance rule: at most 2% of trials per family below z = -3, and
-    nonnegative mean slack per family."""
-    for fam in {r.family for r in results}:
-        rs = [r for r in results if r.family == fam]
-        bad = sum(1 for r in rs if r.report.z_score < -3.0)
-        if bad / len(rs) > 0.02:
-            return False
-        if sum(r.report.slack for r in rs) / len(rs) < 0.0:
-            return False
-    return True
+    """Acceptance rule, per family: no NaN z, at most 2% of trials below
+    z = -3, and a mean slack that is >= 0."""
+    return all(v.passed for v in family_verdicts(results))
 
 
 def _tempered_scale(f, head: ClassifierHead, bank, label, cfg, t) -> float:

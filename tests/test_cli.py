@@ -153,6 +153,29 @@ def test_bound_check_small_run_passes(tmp_path, capsys):
     assert header == "trial,variant,lambda,M,mc_mean,se,bound,slack,z_score"
 
 
+def test_bound_check_failure_names_each_failing_family(tmp_path, capsys, monkeypatch):
+    import semaug.cli
+    from semaug.montecarlo import McReport
+    from semaug.suites import BoundTrial
+
+    def trial(k, family, z, slack):
+        rep = McReport(mean=1.0, std_error=0.1, samples=200, bound_value=1.0 + slack,
+                       slack=slack, z_score=z)
+        return BoundTrial(trial=k, family=family, lam=0.5, report=rep)
+
+    results = ([trial(k, "ce", 1.0, 0.2) for k in range(4)]
+               + [trial(k, "margin", 0.5, -0.1) for k in range(4)]
+               + [trial(0, "margin_da", -4.0, 0.3), trial(1, "margin_da", 0.5, 0.3)])
+    monkeypatch.setattr(semaug.cli, "jensen_suite", lambda trials, count, seed: results)
+    assert entry(["bound-check", "--out", str(tmp_path / "bc")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "bound violated: family=margin_da trial=0 z=-4.00",
+        "bound family failed: family=margin mean_slack=-1.000e-01 z_below_-3=0/4 z_nan=0",
+        "bound family failed: family=margin_da mean_slack=3.000e-01 z_below_-3=1/2 z_nan=0",
+        "bound check FAILED",
+    ]
+
+
 def test_bound_check_rejects_tiny_sample_counts(tmp_path, capsys):
     code = entry(["bound-check", "--out", str(tmp_path / "bc"),
                   "--set", "bound.samples=50"])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import semaug.montecarlo as mc
-from semaug.covariance import ClassStats
-from semaug.losses import ClassifierHead, isda_bound, margin_bound
+from semaug.covariance import ClassStats, sampler_factor
+from semaug.losses import ClassifierHead, _normalized_rows, isda_bound, margin_bound
 from semaug.covariance import CovarianceBank, FULL
 from semaug.montecarlo import (
     mc_expected_ce,
@@ -55,6 +55,38 @@ def test_sampler_shapes_and_validation():
         sample_augmented(f, stats, -0.1, rng, count=1)
     with pytest.raises(ValueError):
         sample_augmented(f, stats, 0.5, rng, count=0)
+
+
+def test_sampler_rejects_an_embedding_of_the_wrong_dimension():
+    stats = ClassStats(0, 5, np.zeros(3), np.eye(3))
+    for lam in (0.0, 0.5):
+        with pytest.raises(ValueError, match=r"shape \(4,\).*shape \(3,\)"):
+            sample_augmented(np.zeros(4), stats, lam, philox_rng(306), count=5)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+            sample_augmented(np.zeros((2, 3)), stats, lam, philox_rng(306), count=5)
+
+
+def test_sampler_rejects_a_non_finite_or_overflowing_strength():
+    stats = ClassStats(0, 5, np.zeros(3), np.eye(3))
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            sample_augmented(np.zeros(3), stats, lam, philox_rng(307), count=5)
+    with pytest.raises(ValueError, match="lam = 1e[+]?308"):
+        with np.errstate(over="ignore"):
+            sample_augmented(np.zeros(3), stats, 1e308, philox_rng(307), count=5)
+
+
+def test_class_major_draws_match_row_major_draws_from_the_same_stream():
+    # the reference forms f + z L^T from the same (count, F) block of normals
+    for k, F in enumerate((3, 7, 10)):
+        rng = philox_rng(308, k)
+        f = rng.standard_normal(F)
+        for stats in (random_stats(rng, F), ClassStats(0, 9, np.zeros(F), rng.random(F) + 0.1)):
+            lam = 0.7
+            draws = sample_augmented(f, stats, lam, philox_rng(309, k), count=1000)
+            z = philox_rng(309, k).standard_normal((1000, F))
+            want = f + z @ sampler_factor(stats, lam).T
+            np.testing.assert_allclose(draws, want, rtol=1e-15, atol=0.0)
 
 
 def test_draw_moments_match_the_target_gaussian():
@@ -142,6 +174,70 @@ def test_chunk_size_does_not_change_the_estimate(monkeypatch):
     monkeypatch.setattr(mc, "_CHUNK", 1024)
     chunked = mc_expected_margin(fu, head_m, stats, 0.5, 3, 0.8, 5000, seed=11)
     assert chunked.mean == ref.mean
+
+
+def _row_major_ce(draws, head, label):
+    Z = draws @ head.weights.T
+    if head.biases is not None:
+        Z = Z + head.biases
+    zmax = Z.max(axis=1)
+    return zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1)) - Z[:, label]
+
+
+def _row_major_margin(draws, head, label, coef):
+    What, _ = _normalized_rows(head.weights)
+    U = draws @ What.T
+    B = head.scale * (U - U[:, [label]]) + head.scale * head.margin * coef
+    B[:, label] = 0.0
+    bmax = B.max(axis=1)
+    return bmax + np.log(np.exp(B - bmax[:, None]).sum(axis=1))
+
+
+def _row_major_estimate(f, stats, lam, count, seed, chunk, loss_of):
+    rng = philox_rng(seed)
+    L = sampler_factor(stats, lam)
+    losses = np.concatenate([
+        loss_of(f + rng.standard_normal((min(chunk, count - done), f.size)) @ L.T)
+        for done in range(0, count, chunk)])
+    return losses.mean(), losses.std(ddof=1) / math.sqrt(count)
+
+
+def test_class_major_estimators_match_the_row_major_loss_formulas(monkeypatch):
+    # C = 8 is where the class-axis sum rounds differently from a row sum
+    monkeypatch.setattr(mc, "_CHUNK", 777)
+    for C in range(3, 9):
+        rng = philox_rng(315, C)
+        F = 3 + C % 4
+        stats = random_stats(rng, F)
+        W = rng.standard_normal((C, F)) / math.sqrt(F)
+        label = int(rng.integers(0, C))
+        f = unit(rng, F)
+
+        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
+        rep = mc_expected_ce(f, head, stats, 0.6, label, 5000, seed=C)
+        mean, se = _row_major_estimate(f, stats, 0.6, 5000, C, 777,
+                                       lambda d: _row_major_ce(d, head, label))
+        assert rep.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+        assert rep.std_error == pytest.approx(se, rel=1e-13, abs=0.0)
+
+        head_m = ClassifierHead(weights=W, scale=8.0, margin=0.2)
+        rep = mc_expected_margin(f, head_m, stats, 0.6, label, 0.7, 5000, seed=C)
+        mean, se = _row_major_estimate(f, stats, 0.6, 5000, C, 777,
+                                       lambda d: _row_major_margin(d, head_m, label, 0.7))
+        assert rep.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
+        assert rep.std_error == pytest.approx(se, rel=1e-13, abs=0.0)
+
+
+def test_a_nan_estimate_scores_a_nan_z():
+    # a NaN mean with zero or NaN spread used to score z = +inf, a pass
+    f, head, stats = _ce_inputs(316)
+    for losses in (np.full(16384, np.nan), np.r_[np.nan, np.zeros(16383)]):
+        rep = mc._estimate(f, stats, 0.5, 200, 1, 1.0, lambda draws: losses[:len(draws)])
+        assert math.isnan(rep.mean) and math.isnan(rep.z_score)
+    rep = mc._estimate(f, stats, 0.5, 200, 1, math.nan, lambda draws: np.zeros(len(draws)))
+    assert math.isnan(rep.z_score)
+    with pytest.raises(ValueError, match="got nan"):
+        mc_expected_ce(f, head, stats, math.nan, 0, 200, seed=1)
 
 
 def test_standard_error_shrinks_with_the_sample_count():

@@ -1,6 +1,8 @@
 """Randomized suite plumbing: reproducibility, pass/fail aggregation rules,
 and small smoke runs of the bound and gradient suites."""
 
+import math
+
 import pytest
 
 from semaug.losses import loss_gradient_check
@@ -9,6 +11,7 @@ from semaug.suites import (
     BOUND_FAMILIES,
     BoundTrial,
     composed_gradcheck,
+    family_verdicts,
     gradcheck_suite,
     jensen_suite,
     jensen_suite_passes,
@@ -66,6 +69,24 @@ def test_suite_pass_rule_is_per_family():
     bad = [_trial("margin_da", -5.0, 0.1) for _ in range(10)]
     assert not jensen_suite_passes(good + bad)
     assert jensen_suite_passes(good)
+
+
+def test_suite_pass_rule_rejects_nan_results():
+    # NaN z and NaN slack used to pass: nan < -3 and nan < 0 are both false
+    assert not jensen_suite_passes([_trial("ce", math.nan, math.nan) for _ in range(10)])
+    one_nan = [_trial("ce", 1.0, 0.5) for _ in range(99)] + [_trial("ce", math.nan, 0.5)]
+    assert not jensen_suite_passes(one_nan)
+    assert not jensen_suite_passes([_trial("ce", 1.0, 0.5), _trial("ce", 1.0, math.nan)])
+
+
+def test_family_verdicts_tally_each_family():
+    results = ([_trial("margin", 0.5, -0.3)] * 3 + [_trial("ce", -4.0, 0.5)]
+               + [_trial("ce", math.nan, 0.1)] + [_trial("ce", 1.0, 0.3)] * 2)
+    verdicts = family_verdicts(results)
+    assert [(v.family, v.trials, v.below, v.nan, v.passed) for v in verdicts] == [
+        ("margin", 3, 0, 0, False), ("ce", 4, 1, 1, False)]
+    assert verdicts[0].mean_slack == pytest.approx(-0.3)
+    assert verdicts[1].mean_slack == pytest.approx(0.3)
 
 
 def test_gradcheck_suite_smoke():

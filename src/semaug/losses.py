@@ -11,12 +11,14 @@ u differs:
 * affine (``softmax_ce``, ``isda_bound``): u = W f + b, a = 1, no margin;
   ``softmax_ce`` is lam = 0, so it is plain cross entropy.
 * cosine (``am_softmax``, ``daam_softmax``, ``dasa_bound``,
-  ``margin_bound``): u_j = cos(w_j, f), a = s, margin m.  ``am_softmax``
-  has coef = 1 and lam = 0; ``daam_softmax`` scales the margin by a
-  per-sample difficulty coefficient (``DA`` or ``DY``) of u_y;
-  ``dasa_bound`` adds the strength lam on the config's schedule, constant
-  or itself a difficulty coefficient; ``margin_bound`` takes lam and a
-  frozen coef explicitly.
+  ``margin_bound``): u_j = cos(w_j, f), a = s, margin m.
+
+The margin coefficient coef and the strength lam follow one rule: each is
+a factor times c(u_y), a difficulty coefficient (``DA`` or ``DY``) of the
+target cosine, or c = 1 for mode ``none`` (the strength's ``constant``).
+``am_softmax`` has coef = 1 and lam = 0; ``daam_softmax`` has coef = c(u_y);
+``dasa_bound`` adds lam = ramp(t) * lambda0 or, with a dynamic strength,
+ramp(t) * c(u_y); ``margin_bound`` takes lam and a frozen coef explicitly.
 
 ``variant_loss`` picks the variant a :class:`LossConfig` names.  Every
 function takes a batch (B, F) with labels (B,); one embedding (F,) with an
@@ -41,6 +43,7 @@ import numpy as np
 from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank, forms_and_products
 
 VARIANTS = ("softmax", "isda", "am", "daam", "dasa")
+AFFINE_VARIANTS = ("softmax", "isda")  # u = W f + b with biases; the rest are cosine
 DIFFICULTY_MODES = ("none", "DA", "DY")
 STRENGTH_MODES = ("constant", "DA", "DY")
 # Default finite-difference step: it keeps the extrapolation's rounding noise
@@ -69,10 +72,10 @@ class ClassifierHead:
             self.biases = np.asarray(self.biases, dtype=float)
             if self.biases.shape != (self.weights.shape[0],):
                 raise ValueError("biases must have one entry per weight row")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be nonnegative, got {self.margin}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be nonnegative and finite, got {self.margin}")
 
     @property
     def num_classes(self) -> int:
@@ -172,25 +175,28 @@ def _coef_and_slope(mode: str, cos_y, gamma: float):
     raise ValueError(f"unknown difficulty mode {mode!r}")
 
 
-def _ramp(t: float, config: LossConfig) -> float:
-    """Schedule ramp t/T, zero during the deferred fraction, clamped at T."""
-    if t < 0:
-        raise ValueError(f"iteration must be >= 0, got {t}")
-    T = config.ramp_total_iters
-    t = min(t, T)
-    frac = t / T
-    if frac < config.deferred_fraction:
-        return 0.0
-    return frac
+def _scaled(name: str, spec, uy, gamma: float):
+    """A (mode, factor) spec at the target cosines: factor * c(u_y) and its
+    slope factor * c'(u_y), c from :func:`_coef_and_slope`; modes ``none``
+    and ``constant`` give the floats factor and 0 for every row."""
+    mode, factor = spec[0], float(spec[1])
+    if not 0 <= factor < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {factor}")
+    c, dc = _coef_and_slope("none" if mode == "constant" else mode, uy, gamma)
+    return factor * c, factor * dc
 
 
 def lambda_schedule(t: float, config: LossConfig, coef: float | None = None) -> float:
     """Augmentation strength at iteration t.
 
+    The ramp t/T is zero during the deferred fraction and clamped at T.
     Constant mode returns ramp * lambda0; dynamic modes return ramp times
     the sample's difficulty coefficient, which the caller must supply.
     """
-    r = _ramp(t, config)
+    if t < 0:
+        raise ValueError(f"iteration must be >= 0, got {t}")
+    frac = min(t, config.ramp_total_iters) / config.ramp_total_iters
+    r = 0.0 if frac < config.deferred_fraction else frac
     if config.strength_mode == "constant":
         return r * config.lambda0
     if coef is None:
@@ -310,21 +316,20 @@ def _loss(
     *,
     cosine: bool,
     stats=None,
-    lam: float = 0.0,
-    difficulty: str = "none",
+    coef: tuple[str, float] = ("none", 1.0),
+    lam: tuple[str, float] = ("none", 0.0),
     gamma: float = 1.0,
-    strength_mode: str = "constant",
-    ramp: float = 0.0,
-    coef: float | None = None,
     value_only: bool = False,
 ) -> LossOutput:
     """The one forward/backward behind every variant (see the module doc).
 
     ``cosine`` picks the logit map: False gives u = W f + b with a = 1 and
     no margin; True gives u = W_hat f with a = s, margin m*coef, and the
-    gradient chained back through the row normalization.  ``coef`` freezes
-    the margin coefficient (no gradient path); otherwise it follows
-    ``difficulty``.  With a dynamic ``strength_mode``, lam = ramp * coef_s.
+    gradient chained back through the row normalization.  ``coef`` and
+    ``lam`` are (mode, factor) pairs under one rule: each is factor *
+    c(u_y), with slope factor * c'(u_y) into the gradient, where c is the
+    mode's difficulty coefficient at ``gamma``, or c = 1 (no gradient path)
+    for mode ``none`` or ``constant``; a factor must be finite and >= 0.
     ``stats`` is one ClassStats for every label, or a CovarianceBank whose
     row y holds class y's; it is read only for the labels of rows with
     lam != 0.  With ``value_only`` the call returns right after the value,
@@ -354,23 +359,13 @@ def _loss(
     uy = u.take(target)[:, None]
 
     # per-row coefficients and strengths: (B, 1) columns, or one float for every row
-    if coef is None:
-        coef, dcoef = _coef_and_slope(difficulty, uy, gamma)
-    else:
-        coef, dcoef = float(coef), 0.0
-    dlam = None
-    if strength_mode != "constant":
-        coef_s, dcoef_s = _coef_and_slope(strength_mode, uy, gamma)
-        lam, dlam = ramp * coef_s, ramp * dcoef_s
-    elif lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    else:
-        lam = float(lam)
+    coef, dcoef = _scaled("coef", coef, uy, gamma)
+    lam, dlam = _scaled("lam", lam, uy, gamma)
 
     e = a * (u - uy) + a * m * coef
     e.put(target, 0.0)  # target slot carries the constant exp(0) = 1; phi is 0 there
     g = np.zeros(R.shape)  # d(sum of values)/d(R)
-    phi_rows = None if dlam is None or value_only else np.zeros(e.shape)  # each row's phi, for d(lam)/d(u_y)
+    phi_rows = np.zeros(e.shape) if isinstance(dlam, np.ndarray) and not value_only else None  # for d(lam)/d(u_y)
     _augment(e, g, phi_rows, R, labels, lam, a, stats, value_only)
 
     emax, total, q = _softmax_parts(e)
@@ -414,7 +409,7 @@ def isda_bound(
     perturbation of the embedding with covariance lam*Cov_label: the
     affine map with strength lam, so lam = 0 is ``softmax_ce`` itself.
     ``bank`` may also be one ClassStats, read as every label's."""
-    return _loss(embedding, head, label, cosine=False, stats=bank, lam=lam, value_only=value_only)
+    return _loss(embedding, head, label, cosine=False, stats=bank, lam=("none", lam), value_only=value_only)
 
 
 def am_softmax(embedding: np.ndarray, head: ClassifierHead, label: int, *, value_only: bool = False) -> LossOutput:
@@ -435,7 +430,7 @@ def daam_softmax(
     """Additive-margin softmax with the margin scaled by a per-sample
     difficulty coefficient of the target cosine (harder samples get a
     larger effective margin)."""
-    return _loss(embedding, head, label, cosine=True, difficulty=difficulty, gamma=gamma, value_only=value_only)
+    return _loss(embedding, head, label, cosine=True, coef=(difficulty, 1.0), gamma=gamma, value_only=value_only)
 
 
 def dasa_bound(
@@ -451,12 +446,9 @@ def dasa_bound(
     """Closed-form bound on the expected difficulty-aware margin loss under
     Gaussian embedding perturbation with covariance lam*Cov_label, where lam
     follows the config's schedule at iteration t."""
-    constant = config.strength_mode == "constant"
     return _loss(
-        embedding, head, label, cosine=True, stats=bank,
-        lam=lambda_schedule(t, config) if constant else 0.0,
-        difficulty=config.difficulty, gamma=config.gamma,
-        strength_mode=config.strength_mode, ramp=_ramp(t, config), value_only=value_only,
+        embedding, head, label, cosine=True, stats=bank, coef=(config.difficulty, 1.0),
+        lam=(config.strength_mode, lambda_schedule(t, config, 1.0)), gamma=config.gamma, value_only=value_only,
     )
 
 
@@ -474,7 +466,8 @@ def margin_bound(
     frozen margin coefficient (1.0 gives the plain-margin bound).  Used by
     the Monte-Carlo cross checks, which evaluate the coefficient once at
     the clean embedding."""
-    return _loss(embedding, head, label, cosine=True, stats=stats, lam=lam, coef=coef, value_only=value_only)
+    return _loss(embedding, head, label, cosine=True, stats=stats, coef=("none", coef), lam=("none", lam),
+                 value_only=value_only)
 
 
 def variant_loss(

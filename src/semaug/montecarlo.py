@@ -157,8 +157,6 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
     embedding, and compare against the matching closed-form bound."""
     _check_count(count)
     coef = float(margin_coef)
-    if coef < 0:
-        raise ValueError(f"margin_coef must be >= 0, got {coef}")
     bound = float(margin_bound(embedding, head, stats, label, lam, coef, value_only=True).value[0])
     What, _ = _normalized_rows(head.weights)
     s = head.scale

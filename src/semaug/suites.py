@@ -16,6 +16,7 @@ import numpy as np
 from .covariance import ClassStats, CovarianceBank, DIAGONAL, FULL, quadratic_forms
 from .embedder import TinyEmbedder
 from .losses import (
+    AFFINE_VARIANTS,
     GRAD_EPSILON,
     VARIANTS,
     ClassifierHead,
@@ -245,7 +246,7 @@ def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
         cfg = LossConfig(variant=variant, difficulty=("DA", "DY")[trial % 2],
                          lambda0=lam, gamma=2.0, ramp_total_iters=1, deferred_fraction=0.0)
     t = 1
-    if variant in ("softmax", "isda"):
+    if variant in AFFINE_VARIANTS:
         head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
     else:
         head = ClassifierHead(weights=W, biases=None,
@@ -310,7 +311,7 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         # the schedule at t = T with nothing deferred is lambda0 itself
         cfg = LossConfig(variant=variant, difficulty="DA", strength_mode="constant",
                          lambda0=lam, ramp_total_iters=10, deferred_fraction=0.0)
-        if variant in ("softmax", "isda"):
+        if variant in AFFINE_VARIANTS:
             head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
         else:
             head = ClassifierHead(weights=W, biases=None,

@@ -20,7 +20,7 @@ import numpy as np
 from .covariance import DIAGONAL, FULL, CovarianceBank
 from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, open_csv, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
-from .losses import ClassifierHead, LossConfig, variant_loss
+from .losses import AFFINE_VARIANTS, ClassifierHead, LossConfig, variant_loss
 from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
 from .rng import philox_rng
 
@@ -168,9 +168,8 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     init_rng = philox_rng(settings.seed, 1)
     embedder = TinyEmbedder([dataset.dim] + list(settings.hidden) + [F], init_rng)
     head_w = init_rng.standard_normal((C, F)) / math.sqrt(F)
-    softmax_path = cfg.variant in ("softmax", "isda")
     head = ClassifierHead(weights=head_w,
-                          biases=np.zeros(C) if softmax_path else None,
+                          biases=np.zeros(C) if cfg.variant in AFFINE_VARIANTS else None,
                           scale=settings.scale, margin=settings.margin)
     bank = CovarianceBank(C, F, settings.cov_mode)
 

@@ -25,7 +25,6 @@ from semaug.losses import (
     softmax_ce,
     variant_loss,
     _coef_and_slope,
-    _ramp,
     _softmax_parts,
 )
 from semaug.rng import philox_rng
@@ -739,7 +738,7 @@ def test_cores_match_the_two_product_formulation(mode):
                 t = 3 + trial
                 want = two_product_margin(f, head, stats.cov, label, difficulty, strength,
                                           lambda_schedule(t, cfg) if strength == "constant" else 0.0,
-                                          _ramp(t, cfg), cfg.gamma)
+                                          lambda_schedule(t, cfg, 1.0), cfg.gamma)
                 assert_same_loss(dasa_bound(f, head, bank, label, cfg, t), want)
 
 
@@ -829,7 +828,7 @@ def test_batched_term_matches_the_per_label_loop(monkeypatch, mode):
                 for d in ("none", "DA", "DY") for s in ("constant", "DA", "DY")]
         # one ClassStats for every label, as margin_bound and the Monte Carlo suites pass it
         out += [lambda: margin_bound(f, cosine, stats, labels, 0.3, 0.7),
-                lambda: losses._loss(f, affine, labels, cosine=False, stats=stats, lam=0.3)]
+                lambda: losses._loss(f, affine, labels, cosine=False, stats=stats, lam=("none", 0.3))]
         return out
 
     for f_, labels_ in ((f, labels), (f[5], int(labels[5]))):
@@ -902,10 +901,14 @@ def test_label_and_finiteness_validation():
 def test_negative_strength_rejected():
     stats = ClassStats(0, 5, np.zeros(2), np.eye(2))
     head = ClassifierHead(weights=np.eye(2), biases=np.zeros(2))
-    with pytest.raises(ValueError):
-        isda_bound(np.array([1.0, 0.0]), head, bank_with(stats, 2, 0), -0.5, 0)
-    with pytest.raises(ValueError):
-        margin_bound(np.array([1.0, 0.0]), ClassifierHead(weights=np.eye(2)), stats, 0, -0.1, 1.0)
+    for lam in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            isda_bound(np.array([1.0, 0.0]), head, bank_with(stats, 2, 0), lam, 0)
+    # a frozen margin coefficient takes the same check as the strength
+    for lam, coef, name in ((-0.1, 1.0, "lam"), (math.nan, 1.0, "lam"), (math.inf, 1.0, "lam"),
+                            (0.1, -1.0, "coef"), (0.1, math.nan, "coef"), (0.1, math.inf, "coef")):
+        with pytest.raises(ValueError, match=name):
+            margin_bound(np.array([1.0, 0.0]), ClassifierHead(weights=np.eye(2)), stats, 0, lam, coef)
 
 
 def test_head_validation():
@@ -913,10 +916,9 @@ def test_head_validation():
         ClassifierHead(weights=np.zeros(3))
     with pytest.raises(ValueError):
         ClassifierHead(weights=np.eye(3), biases=np.zeros(2))
-    with pytest.raises(ValueError):
-        ClassifierHead(weights=np.eye(3), scale=0.0)
-    with pytest.raises(ValueError):
-        ClassifierHead(weights=np.eye(3), margin=-0.1)
+    for bad in ({"scale": 0.0}, {"scale": math.inf}, {"margin": -0.1}, {"margin": math.nan}, {"margin": math.inf}):
+        with pytest.raises(ValueError):
+            ClassifierHead(weights=np.eye(3), **bad)
 
 
 def test_loss_config_validation():

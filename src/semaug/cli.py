@@ -186,17 +186,14 @@ def cmd_grad_check(cfg: dict, args) -> int:
 def cmd_score(cfg: dict, args) -> int:
     embs = read_embeddings(args.embeddings)
     trials = read_trials(args.trials)
-    missing = (set(trials.index_a.tolist()) | set(trials.index_b.tolist())) - set(embs)
-    if missing:
-        raise ValueError(f"{args.trials}: indices missing from embeddings: {sorted(missing)[:5]}")
-    order = sorted(embs)
-    pos = {idx: k for k, idx in enumerate(order)}
-    mat = np.array([embs[idx] for idx in order])
-    remapped = type(trials)(
-        index_a=np.array([pos[i] for i in trials.index_a]),
-        index_b=np.array([pos[i] for i in trials.index_b]),
-        is_target=trials.is_target,
-    )
+    order = np.array(sorted(embs), dtype=np.int64)
+    wanted = np.concatenate([trials.index_a, trials.index_b])
+    pos = np.searchsorted(order, wanted)
+    missing = np.unique(wanted[order[np.minimum(pos, order.size - 1)] != wanted])
+    if missing.size:
+        raise ValueError(f"{args.trials}: indices missing from embeddings: {missing[:5].tolist()}")
+    mat = np.array([embs[idx] for idx in order.tolist()])
+    remapped = type(trials)(index_a=pos[:len(trials)], index_b=pos[len(trials):], is_target=trials.is_target)
     scores = score_trials(mat, remapped)
     eer, _ = compute_eer(scores)
     mdcf = compute_min_dcf(scores, build(DcfParams, cfg))

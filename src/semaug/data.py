@@ -220,34 +220,38 @@ def utf8_error(path) -> ValueError:
     raise AssertionError(f"{path}: every line decodes as UTF-8")
 
 
-def data_rows(path, rows: list, lines, width: int):
-    """Yield (line number, fields) for each non-blank row after the header
-    row, ``lines`` numbering the rows as :func:`read_csv_rows` does.  A row
-    without ``width`` fields, or no such row at all, raises
-    ``ValueError("<path>: line N: ...")``."""
-    if not any(rows[1:]):
+def parse_rows(path, rows: list, lines, width: int, parse):
+    """``parse(block)`` of the non-blank rows after the header row.  No
+    such row, a row not ``width`` fields wide, or a ``ValueError`` from
+    ``parse`` raises ``ValueError("<path>: line N: <message>")``, ``lines``
+    numbering the rows as :func:`read_csv_rows` does.  N and the message are
+    those of the shortest failing prefix, found by bisection with the same
+    checks: its last row is the first bad row, because a rule of ``parse``
+    may look back at earlier rows but never ahead."""
+    body = [row for row in rows[1:] if row]
+    if not body:
         raise ValueError(f"{path}: line {lines[-1]}: no data rows")
-    for ln, row in zip(lines[1:], rows[1:]):
-        if row:
+
+    def attempt(block):
+        for row in block:
             if len(row) != width:
-                raise ValueError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
-            yield ln, row
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+        return parse(block)
 
-
-def first_bad_line(path, rows: list, lines, width: int, check) -> None:
-    """Raise ``ValueError("<path>: line N: ...")`` for the first data row
-    that :func:`data_rows` or ``check(fields)`` rejects; ``check`` rejects
-    by raising ``ValueError`` or by returning a message.  A reader that
-    checks its rows as one block calls this only once the block failed,
-    to name the line a row-by-row reader would name."""
-    for ln, row in data_rows(path, rows, lines, width):
+    try:
+        return attempt(body)
+    except ValueError as exc:
+        message = str(exc)
+    ok, bad = 0, len(body)  # the prefix of ok rows passes, that of bad rows fails
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
         try:
-            message = check(row)
+            attempt(body[:mid])
+            ok = mid
         except ValueError as exc:
-            message = str(exc)
-        if message:
-            raise ValueError(f"{path}: line {ln}: {message}")
-    raise AssertionError(f"{path}: the block check failed but every row passes")
+            bad, message = mid, str(exc)
+    ln = [ln for ln, row in zip(lines[1:], rows[1:]) if row][bad - 1]
+    raise ValueError(f"{path}: line {ln}: {message}")
 
 
 def read_dataset(path) -> Dataset:
@@ -255,8 +259,9 @@ def read_dataset(path) -> Dataset:
 
     Every defect, including a non-finite feature or a label outside
     [0, 2**63), raises ``ValueError("<path>: line N: ...")``.  The feature
-    block is cast to float in one call and checked finite in one call;
-    only a file that fails goes row by row to find its first bad line.
+    block is cast to float in one call and checked finite in one call; a
+    file that fails names its first bad line by bisection
+    (:func:`parse_rows`), which holds because no rule looks ahead.
     """
     rows, lines = read_csv_rows(path)
     header = rows[0]
@@ -265,27 +270,21 @@ def read_dataset(path) -> Dataset:
     d = len(header) - 2
     if header[1:-1] != [f"x{i}" for i in range(d)]:
         raise ValueError(f"{path}: line 1: malformed feature columns")
-    body = [row for row in rows[1:] if row]
-    try:
-        labels = [int(row[0]) for row in body]
-        feats = np.array([row[1:-1] for row in body], dtype=float)
-        split = [row[-1] for row in body]
-        ok = (body and all(len(row) == d + 2 for row in body)
-              and min(labels) >= 0 and max(labels) < 2**63 and np.isfinite(feats).all()
-              and set(split) <= {TRAIN, EVAL})
-    except ValueError:
-        ok = False
-    if not ok:
-        def check(row):
-            label, x = int(row[0]), [float(v) for v in row[1:-1]]
-            if not 0 <= label < 2**63:
-                return f"label {label} outside [0, 2**63)"
-            if not all(map(math.isfinite, x)):
-                return "non-finite feature"
-            if row[-1] not in (TRAIN, EVAL):
-                return f"unknown split tag {row[-1]!r}"
-        first_bad_line(path, rows, lines, d + 2, check)
-    return Dataset(features=feats, labels=np.array(labels), split=np.array(split))
+
+    def parse(block):
+        labels = [int(row[0]) for row in block]
+        feats = np.array([row[1:-1] for row in block], dtype=float)
+        lo, hi = min(labels), max(labels)
+        if lo < 0 or hi >= 2**63:
+            raise ValueError(f"label {lo if lo < 0 else hi} outside [0, 2**63)")
+        if not np.isfinite(feats).all():
+            raise ValueError("non-finite feature")
+        split = [row[-1] for row in block]
+        if not set(split) <= {TRAIN, EVAL}:
+            raise ValueError(f"unknown split tag {next(s for s in split if s not in (TRAIN, EVAL))!r}")
+        return Dataset(features=feats, labels=np.array(labels), split=np.array(split))
+
+    return parse_rows(path, rows, lines, d + 2, parse)
 
 
 def write_embeddings(path, indices, vectors) -> None:
@@ -307,27 +306,21 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
-    width = len(header)
-    body = [row for row in rows[1:] if row]
-    try:
-        indices = [int(row[0]) for row in body]
-        E = np.array([row[1:] for row in body], dtype=float)
-        ok = (body and all(len(row) == width for row in body)
-              and min(indices) >= 0 and max(indices) < 2**63
-              and len(set(indices)) == len(indices) and np.isfinite(E).all())
-    except ValueError:
-        ok = False
-    if not ok:
-        seen = set()
 
-        def check(row):
-            idx, e = int(row[0]), [float(v) for v in row[1:]]
-            if not 0 <= idx < 2**63:
-                return f"index {idx} outside [0, 2**63)"
-            if idx in seen:
-                return f"duplicate index {idx}"
-            seen.add(idx)
-            if not all(map(math.isfinite, e)):
-                return "non-finite value"
-        first_bad_line(path, rows, lines, width, check)
-    return dict(zip(indices, E))
+    def parse(block):
+        indices = [int(row[0]) for row in block]
+        E = np.array([row[1:] for row in block], dtype=float)
+        lo, hi = min(indices), max(indices)
+        if lo < 0 or hi >= 2**63:
+            raise ValueError(f"index {lo if lo < 0 else hi} outside [0, 2**63)")
+        if len(set(indices)) < len(indices):
+            seen = set()
+            for i in indices:
+                if i in seen:
+                    raise ValueError(f"duplicate index {i}")
+                seen.add(i)
+        if not np.isfinite(E).all():
+            raise ValueError("non-finite value")
+        return dict(zip(indices, E))
+
+    return parse_rows(path, rows, lines, len(header), parse)

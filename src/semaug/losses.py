@@ -151,12 +151,13 @@ def difficulty_da(cos_y):
     return c if np.ndim(c) else float(c)
 
 
-def difficulty_dy(cos_y: float, gamma: float) -> float:
-    """Exponential difficulty coefficient exp(1 - cos)/gamma."""
+def difficulty_dy(cos_y, gamma: float):
+    """Exponential difficulty coefficient exp(1 - cos)/gamma; elementwise
+    over an array of cosines, a float for one."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    c = min(max(float(cos_y), -1.0), 1.0)
-    return math.exp(1.0 - c) / gamma
+    c = np.exp(1.0 - np.minimum(np.maximum(cos_y, -1.0), 1.0)) / gamma
+    return c if np.ndim(c) else float(c)
 
 
 def _coef_and_slope(mode: str, cos_y, gamma: float):
@@ -170,7 +171,7 @@ def _coef_and_slope(mode: str, cos_y, gamma: float):
     if mode == "DA":
         return difficulty_da(c), np.where(inside, -0.5, 0.0)
     if mode == "DY":
-        v = np.array([difficulty_dy(x, gamma) for x in c.ravel().tolist()]).reshape(c.shape)
+        v = difficulty_dy(c, gamma)
         return v, np.where(inside, -v, 0.0)
     raise ValueError(f"unknown difficulty mode {mode!r}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FLOAT, first_bad_line, read_csv_rows, write_csv
+from .data import FLOAT, parse_rows, read_csv_rows, write_csv
 from .rng import philox_rng
 
 
@@ -174,30 +174,32 @@ def read_trials(path) -> TrialSet:
     Every defect, including an index outside [0, 2**63), a trial that
     pairs an index with itself or an ``is_target`` other than 0 or 1,
     raises ``ValueError("<path>: line N: ...")``.  The block is cast to
-    int64 in one call and checked at once; only a file that fails goes row
-    by row, to find its first bad line.
+    int64 in one call and checked at once; a file that fails names its
+    first bad line by bisection (``data.parse_rows``), which holds because
+    no rule looks ahead.
     """
     rows, lines = read_csv_rows(path)
     if rows[0] != ["index_a", "index_b", "is_target"]:
         raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
-    body = [row for row in rows[1:] if row]
-    try:
-        T = np.array(body, dtype=np.int64)
-        ok = (body and T.shape[1] == 3 and (T[:, :2] >= 0).all() and (T[:, 0] != T[:, 1]).all()
-              and ((T[:, 2] == 0) | (T[:, 2] == 1)).all())
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        def check(row):
-            a, b, t = int(row[0]), int(row[1]), int(row[2])
-            if not (0 <= a < 2**63 and 0 <= b < 2**63):
-                return "index outside [0, 2**63)"
-            if a == b:
-                return f"trial pairs index {a} with itself"
-            if t not in (0, 1):
-                return f"is_target must be 0 or 1, got {t}"
-        first_bad_line(path, rows, lines, 3, check)
-    return TrialSet(index_a=T[:, 0], index_b=T[:, 1], is_target=T[:, 2] == 1)
+
+    def parse(block):
+        try:
+            T = np.array(block, dtype=np.int64)
+            in_range = (T[:, :2] >= 0).all()
+        except OverflowError:  # a cell outside int64: read again as Python ints to name it
+            T = np.array([[int(v) for v in row] for row in block], dtype=object)
+            in_range = ((T[:, :2] >= 0) & (T[:, :2] < 2**63)).all()
+        if not in_range:
+            raise ValueError("index outside [0, 2**63)")
+        a, b, t = T.T
+        if (a == b).any():
+            raise ValueError(f"trial pairs index {a[(a == b).argmax()]} with itself")
+        bad = (t != 0) & (t != 1)
+        if bad.any():
+            raise ValueError(f"is_target must be 0 or 1, got {t[bad.argmax()]}")
+        return TrialSet(index_a=a, index_b=b, is_target=t == 1)
+
+    return parse_rows(path, rows, lines, 3, parse)
 
 
 def write_scores(path, trials: TrialSet, scoreset: ScoreSet) -> None:

@@ -508,6 +508,8 @@ def test_difficulty_exact_values_and_clamping():
     assert difficulty_dy(0.0, 2.0) == pytest.approx(1.3591409142295226, abs=1e-15)
     assert difficulty_dy(-1.0, 2.0) == pytest.approx(3.694528049465325, abs=1e-14)
     assert difficulty_dy(9.0, 2.0) == 0.5
+    assert difficulty_dy(np.array([[9.0], [1.0]]), 2.0).tolist() == [[0.5], [0.5]]
+    assert type(difficulty_dy(0.0, 2.0)) is float
     with pytest.raises(ValueError):
         difficulty_dy(0.0, 0.0)
     with pytest.raises(ValueError):

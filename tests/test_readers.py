@@ -18,7 +18,6 @@ from semaug.data import (
     TRAIN,
     Dataset,
     SynthSpec,
-    data_rows,
     generate,
     read_csv_rows,
     read_dataset,
@@ -200,6 +199,9 @@ def test_read_dataset_rejects_non_finite_features_and_negative_labels(tmp_path):
     expect_line(read_dataset, path, set_cell(text, 4, 2, "-inf"), 4, "non-finite feature")
     expect_line(read_dataset, path, set_cell(text, 5, 0, "-1"), 5, re.escape("outside [0, 2**63)"))
     expect_line(read_dataset, path, set_cell(text, 5, 0, str(2**63)), 5, "outside")
+    # the first and the last data row: the bounds of the bisection
+    expect_line(read_dataset, path, set_cell(text, 2, 3, "dev"), 2, "unknown split tag 'dev'")
+    expect_line(read_dataset, path, set_cell(text, 7, 0, "x"), 7, "invalid literal for int")
 
 
 def check_dataset(ds):
@@ -217,6 +219,8 @@ def check_dataset(ds):
     (4, 0, "3", "duplicate index 3"),
     (3, 0, "-1", re.escape("outside [0, 2**63)")),
     (3, 0, str(2**63), "outside"),
+    (2, 0, "x", "invalid literal for int"),
+    (4, 2, "inf", "non-finite value"),
 ])
 def test_read_embeddings_names_each_defect(tmp_path, line, cell, value, match):
     text = set_cell(embeddings_text(tmp_path), line, cell, value)
@@ -229,10 +233,28 @@ def test_read_embeddings_names_each_defect(tmp_path, line, cell, value, match):
     (4, 2, "-1", "is_target must be 0 or 1"),
     (2, 0, "-2", "outside"),
     (4, 1, str(2**64), "outside"),
+    (4, 2, str(2**63), "is_target must be 0 or 1, got 9223372036854775808"),
+    (2, 0, "1.5", "invalid literal for int"),
+    (4, 0, "7", "pairs index 7 with itself"),
 ])
 def test_read_trials_names_each_defect(tmp_path, line, cell, value, match):
     text = set_cell(trials_text(tmp_path), line, cell, value)
     expect_line(read_trials, tmp_path / "trials.csv", text, line, match)
+
+
+@pytest.mark.parametrize("reader,text,early,late,match", [
+    (read_dataset, dataset_text, (3, 1, "nan"), (5, 1, "0,0"), "non-finite feature"),
+    (read_dataset, dataset_text, (3, 3, "test"), (5, 0, "x"), "unknown split tag 'test'"),
+    (read_embeddings, embeddings_text, (2, 1, "nan"), (4, 0, "x"), "non-finite value"),
+    (read_embeddings, embeddings_text, (3, 0, "3"), (4, 1, "1,2"), "duplicate index 3"),
+    (read_trials, trials_text, (2, 2, "7"), (4, 1, "0,0"), "is_target must be 0 or 1, got 7"),
+    (read_trials, trials_text, (3, 0, "7"), (4, 0, "x"), "pairs index 7 with itself"),
+])
+def test_an_earlier_row_breaking_a_later_rule_is_named_first(tmp_path, reader, text, early, late, match):
+    """The earlier row breaks a rule checked after the cast and width rules
+    that the later row breaks; the earlier row's line is the one named."""
+    bad = set_cell(set_cell(text(tmp_path), *late), *early)
+    expect_line(reader, tmp_path / "file.csv", bad, early[0], match)
 
 
 @pytest.mark.parametrize("reader,text", [(read_embeddings, embeddings_text), (read_trials, trials_text)])
@@ -477,6 +499,20 @@ def test_missing_rows_are_named_after_a_last_row_that_spans_lines(tmp_path):
 
 
 # -- block readers against the row-by-row readers --------------------------------
+
+
+def data_rows(path, rows: list, lines, width: int):
+    """Yield (line number, fields) for each non-blank row after the header
+    row, ``lines`` numbering the rows as :func:`read_csv_rows` does.  A row
+    without ``width`` fields, or no such row at all, raises
+    ``ValueError("<path>: line N: ...")``."""
+    if not any(rows[1:]):
+        raise ValueError(f"{path}: line {lines[-1]}: no data rows")
+    for ln, row in zip(lines[1:], rows[1:]):
+        if row:
+            if len(row) != width:
+                raise ValueError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
+            yield ln, row
 
 
 def read_dataset_per_row(path):

@@ -100,9 +100,17 @@ def sample_augmented(embedding, stats: ClassStats, lam: float, rng, count: int):
 
 
 def _logsumexp(Z):
-    """Log-sum-exp over the class axis (axis 0) of (C, n) logits."""
+    """Log-sum-exp over the class axis (axis 0) of (C, n) logits.
+
+    Works in place and consumes its argument: Z holds exp(Z - max) on
+    return, so a caller that needs a row of the logits copies it first."""
     zmax = Z.max(axis=0)
-    return zmax + np.log(np.exp(Z - zmax).sum(axis=0))
+    Z -= zmax
+    np.exp(Z, out=Z)
+    s = Z.sum(axis=0)
+    np.log(s, out=s)
+    s += zmax
+    return s
 
 
 def _estimate(embedding, stats: ClassStats, lam: float, count: int, seed, bound: float, loss_of) -> McReport:
@@ -145,7 +153,8 @@ def mc_expected_ce(embedding, head: ClassifierHead, stats: ClassStats, lam: floa
         Z = head.weights @ draws.T
         if head.biases is not None:
             Z += head.biases[:, None]
-        return _logsumexp(Z) - Z[label]
+        target = Z[label].copy()
+        return _logsumexp(Z) - target
 
     return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 
@@ -164,9 +173,11 @@ def mc_expected_margin(embedding, head: ClassifierHead, stats: ClassStats, lam: 
 
     def loss_of(draws):
         U = What @ draws.T
-        B = s * (U - U[label]) + base
-        B[label] = 0.0  # target slot carries the constant exp(0) = 1
-        return _logsumexp(B)
+        U -= U[label].copy()
+        U *= s
+        U += base
+        U[label] = 0.0  # target slot carries the constant exp(0) = 1
+        return _logsumexp(U)
 
     return _estimate(embedding, stats, lam, count, seed, bound, loss_of)
 

@@ -228,6 +228,15 @@ def test_class_major_estimators_match_the_row_major_loss_formulas(monkeypatch):
         assert rep.std_error == pytest.approx(se, rel=1e-13, abs=0.0)
 
 
+def test_in_place_logsumexp_equals_the_out_of_place_formula():
+    # C = 8 included: the in-place sum must round exactly as the fresh temporary did
+    for C in range(3, 10):
+        Z = 4.0 * philox_rng(317, C).standard_normal((C, 1000))
+        zmax = Z.max(axis=0)
+        want = zmax + np.log(np.exp(Z - zmax).sum(axis=0))
+        assert np.array_equal(mc._logsumexp(Z.copy()), want)
+
+
 def test_a_nan_estimate_scores_a_nan_z():
     # a NaN mean with zero or NaN spread used to score z = +inf, a pass
     f, head, stats = _ce_inputs(316)

@@ -39,7 +39,6 @@ from .metrics import (
     build_trials,
     compute_eer,
     compute_min_dcf,
-    cosine_score,
     format_metrics,
     score_trials,
 )

@@ -95,17 +95,6 @@ def build_trials(labels, max_nontarget_per_target, seed) -> TrialSet:
     )
 
 
-def cosine_score(e_a, e_b) -> float:
-    """Cosine similarity, clipped to [-1, 1] against rounding."""
-    a = np.asarray(e_a, dtype=float)
-    b = np.asarray(e_b, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("cosine of a zero vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def score_trials(embeddings, trials: TrialSet) -> ScoreSet:
     """Cosine score for every trial; embeddings indexed by trial indices."""
     E = np.asarray(embeddings, dtype=float)

@@ -66,6 +66,8 @@ class BoundSettings:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.samples < MIN_SAMPLES:
             raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
+        if self.samples % 2:  # the draws come in antithetic pairs
+            raise ValueError(f"samples must be even, got {self.samples}")
 
 
 @dataclass

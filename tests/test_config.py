@@ -81,6 +81,7 @@ def test_typed_parsing_and_bad_values():
     ("grad.composed_trials", "-3", "composed_trials must be >= 0, got -3"),
     ("bound.trials", "-2", "trials must be >= 0, got -2"),
     ("bound.samples", "5", "samples must be >= 100, got 5"),
+    ("bound.samples", "2001", "samples must be even, got 2001"),
     ("grad.epsilon", "1e-3", "epsilon must be in [1e-7, 1e-4], got 0.001"),
     ("compare.variants", "am,bogus",
      "each variant must be one of ('softmax', 'isda', 'am', 'daam', 'dasa'), got 'bogus'"),

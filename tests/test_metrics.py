@@ -14,7 +14,6 @@ from semaug.metrics import (
     build_trials,
     compute_eer,
     compute_min_dcf,
-    cosine_score,
     format_metrics,
     read_trials,
     score_trials,
@@ -235,6 +234,18 @@ def test_build_trials_error_cases():
 
 
 # -- scoring ------------------------------------------------------------------------
+
+
+def cosine_score(e_a, e_b) -> float:
+    """One-pair oracle for score_trials: cosine similarity, clipped to
+    [-1, 1] against rounding."""
+    a = np.asarray(e_a, dtype=float)
+    b = np.asarray(e_b, dtype=float)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        raise ValueError("cosine of a zero vector is undefined")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def test_cosine_score_known_values():

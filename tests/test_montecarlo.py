@@ -194,12 +194,16 @@ def _row_major_margin(draws, head, label, coef):
 
 
 def _row_major_estimate(f, stats, lam, count, seed, chunk, loss_of):
+    # antithetic pairs f + z L^T and f - z L^T, chunk // 2 pairs per block of normals
     rng = philox_rng(seed)
     L = sampler_factor(stats, lam)
-    losses = np.concatenate([
-        loss_of(f + rng.standard_normal((min(chunk, count - done), f.size)) @ L.T)
-        for done in range(0, count, chunk)])
-    return losses.mean(), losses.std(ddof=1) / math.sqrt(count)
+    pairs = count // 2
+    means = []
+    for done in range(0, pairs, chunk // 2):
+        lz = rng.standard_normal((min(chunk // 2, pairs - done), f.size)) @ L.T
+        means.append(0.5 * (loss_of(f + lz) + loss_of(f - lz)))
+    means = np.concatenate(means)
+    return means.mean(), means.std(ddof=1) / math.sqrt(pairs)
 
 
 def test_class_major_estimators_match_the_row_major_loss_formulas(monkeypatch):
@@ -226,6 +230,35 @@ def test_class_major_estimators_match_the_row_major_loss_formulas(monkeypatch):
                                        lambda d: _row_major_margin(d, head_m, label, 0.7))
         assert rep.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
         assert rep.std_error == pytest.approx(se, rel=1e-13, abs=0.0)
+
+
+def test_a_loss_linear_in_the_draw_has_every_pair_mean_at_its_value_at_f(monkeypatch):
+    # f + L z and its mirror average to f only when both come from one z
+    monkeypatch.setattr(mc, "_CHUNK", 777)
+    f, head, stats = _ce_inputs(318)
+    a = head.weights[1]
+    seen = []
+
+    def linear(draws):
+        seen.append(draws @ a)
+        return seen[-1]
+
+    mc._estimate(f, stats, 0.9, 2000, 5, 0.0, linear)
+    pair_means = np.concatenate([0.5 * (p + m) for p, m in zip(seen[::2], seen[1::2])])
+    assert pair_means.size == 1000
+    assert np.max(np.abs(pair_means - f @ a)) <= 1e-12
+    assert np.std(np.concatenate(seen)) > 0.1  # the draws themselves do spread
+
+
+def test_an_odd_count_is_rejected():
+    f, head, stats = _ce_inputs(319)
+    with pytest.raises(ValueError, match="count must be even.*got 2001"):
+        mc_expected_ce(f, head, stats, 0.5, 0, 2001, seed=0)
+    with pytest.raises(ValueError, match="count must be even.*got 101"):
+        mc_expected_margin(unit(philox_rng(319), 4), ClassifierHead(weights=head.weights, scale=3.0, margin=0.2),
+                           stats, 0.5, 0, 1.0, 101, seed=0)
+    # the scalar moment check keeps its own iid draws, so any count will do
+    assert moment_identity_check(0.0, 1.0, 1.0, 1001, seed=0).samples == 1001
 
 
 def test_in_place_logsumexp_equals_the_out_of_place_formula():

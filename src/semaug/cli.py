@@ -3,8 +3,10 @@
 Subcommands: gen, train, compare, bound-check, grad-check, score.  Every
 command resolves its configuration from defaults, an optional --config
 file, and repeatable --set key=value overrides (--seed and --out are
-shorthands for the seed/out keys), then writes the fully resolved
-configuration next to its outputs so any run can be reproduced exactly.
+shorthands for the seed/out keys).  A command that returns (exit 0, or 3
+for a failed check) leaves the fully resolved configuration next to its
+outputs as <command>.config, so any run can be reproduced exactly; one
+stopped by an error leaves none.
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure
 (divergence, degenerate covariance, or a failed bound/gradient check).
@@ -94,7 +96,6 @@ def cmd_gen(cfg: dict, args) -> int:
     out = _outdir(cfg)
     path = os.path.join(out, "dataset.csv")
     write_dataset(ds, path)
-    write_config(os.path.join(out, "gen.config"), cfg)
     print(path)
     return 0
 
@@ -110,7 +111,6 @@ def cmd_train(cfg: dict, args) -> int:
     write_embeddings(os.path.join(out, "embeddings.csv"),
                      range(len(run.eval_indices)), run.eval_embeddings)
     write_trials(os.path.join(out, "trials.csv"), run.trials)
-    write_config(os.path.join(out, "train.config"), cfg)
     print(format_metrics(run.final_eer, run.final_min_dcf))
     return 0
 
@@ -132,7 +132,6 @@ def cmd_compare(cfg: dict, args) -> int:
                                 run.final_eer, run.final_min_dcf)))
     path = os.path.join(out, "compare.csv")
     write_csv(path, ["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"], lines)
-    write_config(os.path.join(out, "compare.config"), cfg)
     print(path)
     return 0
 
@@ -146,7 +145,6 @@ def cmd_bound_check(cfg: dict, args) -> int:
     write_csv(path, ["trial", "variant", "lambda", "M", "mc_mean", "se", "bound", "slack", "z_score"],
               ((row, (r.trial, r.family, r.lam, r.report.samples, r.report.mean, r.report.std_error,
                       r.report.bound_value, r.report.slack, r.report.z_score)) for r in results))
-    write_config(os.path.join(out, "bound_check.config"), cfg)
     failed = [v for v in family_verdicts(results) if not v.passed]
     if failed:
         for r in results:
@@ -171,7 +169,6 @@ def cmd_grad_check(cfg: dict, args) -> int:
     row = "%s,%s,%d," + float_cells(2)
     write_csv(path, ["kind", "variant", "trial", "epsilon", "max_rel_error"],
               ((row, (r.kind, r.variant, r.trial, settings.epsilon, r.max_rel_error)) for r in results))
-    write_config(os.path.join(out, "grad_check.config"), cfg)
     bad = [r for r in results if not r.max_rel_error < GRAD_THRESHOLD]
     if bad:
         for r in bad:
@@ -199,7 +196,6 @@ def cmd_score(cfg: dict, args) -> int:
     mdcf = compute_min_dcf(scores, build(DcfParams, cfg))
     out = _outdir(cfg)
     write_scores(os.path.join(out, "scores.csv"), trials, scores)
-    write_config(os.path.join(out, "score.config"), cfg)
     print(format_metrics(eer, mdcf))
     return 0
 
@@ -218,7 +214,9 @@ def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg, args)
+        code = COMMANDS[args.command](cfg, args)  # 0, or 3 for a failed check
+        write_config(os.path.join(cfg["out"], args.command.replace("-", "_") + ".config"), cfg)
+        return code
     except (TrainingDivergedError, DegenerateCovarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

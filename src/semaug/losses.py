@@ -35,7 +35,6 @@ statistics bank.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,7 +226,9 @@ def _checked_batch(embedding, label, head: ClassifierHead) -> tuple[np.ndarray, 
     if f.ndim == 1:
         if f.shape != (F,):
             raise ValueError(f"embedding has shape {f.shape}, expected ({F},)")
-        if not 0 <= operator.index(label) < C:
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"label {label!r} is not an integer")
+        if not 0 <= label < C:
             raise ValueError(f"label {label} out of range")
         return f[None, :], np.array([label])
     labels = np.asarray(label)

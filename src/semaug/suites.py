@@ -3,7 +3,11 @@ Monte-Carlo oracle, and finite-difference gradient checks for every loss
 variant and for the full network+head composition.
 
 Each trial gets its own counter-based RNG stream keyed by (seed, family,
-trial), so results are reproducible and trials are independent.
+trial), so results are reproducible and trials are independent.  Both
+gradient checks draw their scenario (label, weight rows, strength, the
+label's class statistics and head) through one builder, ``_scenario``:
+the loss check draws its embedding before it, the composed check its
+network and input.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .losses import (
     _check_epsilon,
     _normalized_rows,
 )
-from .montecarlo import MIN_SAMPLES, McReport, mc_expected_ce, mc_expected_margin
+from .montecarlo import McReport, _check_count, mc_expected_ce, mc_expected_margin
 from .rng import philox_rng, rng_key
 
 # Largest allowed spread (in nats) between margin-softmax exponents in a
@@ -64,10 +68,7 @@ class BoundSettings:
         # zero trials is a valid run: it checks nothing and times start-up alone
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.samples < MIN_SAMPLES:
-            raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
-        if self.samples % 2:  # the draws come in antithetic pairs
-            raise ValueError(f"samples must be even, got {self.samples}")
+        _check_count(self.samples)
 
 
 @dataclass
@@ -186,16 +187,12 @@ def _tempered_scale(f, head: ClassifierHead, bank, label, cfg, t) -> float:
     margin softmax fits _SPREAD_CAP. The coefficient and strength come
     from the loss itself at the untempered head; neither depends on the
     scale. Every term in the spread scales with s (the quadratic one with
-    s**2), so the loop terminates."""
+    s**2, and a zero strength cancels it exactly), so the loop terminates."""
     terms = variant_loss(f, head, bank, label, cfg, t).per_sample_terms
     coef, lam = terms["coef"][0], terms["lambda"][0]
     What, _ = _normalized_rows(head.weights)
-    rel = What @ f - float(What[label] @ f)
-    rel = np.delete(rel, label)
-    if lam > 0.0:
-        phi = np.delete(quadratic_forms(bank.stats[label], What, label), label)
-    else:
-        phi = np.zeros_like(rel)
+    rel = np.delete(What @ f - float(What[label] @ f), label)
+    phi = np.delete(quadratic_forms(bank.stats[label], What, label), label)
     s, m = head.scale, head.margin
     while s > 0.25:
         b = s * rel + s * m * coef + 0.5 * lam * s * s * phi
@@ -206,6 +203,34 @@ def _tempered_scale(f, head: ClassifierHead, bank, label, cfg, t) -> float:
     return s
 
 
+def _scenario(rng, variant: str, C: int, F: int, diagonal: bool):
+    """The (label, strength, bank, head) of one gradient-check scenario,
+    drawn from rng in that order: the label, the weight rows, the
+    strength, the label's class statistics (random variances when
+    ``diagonal``) and the head. Only the label's class has statistics;
+    a margin head keeps its untempered scale."""
+    # Magnitudes here are deliberately tame (unit-scale rows, lambda well
+    # below 1, modest scale s). Saturated softmax terms have true gradient
+    # entries below what central differences can resolve against the
+    # relative-error floor; the saturated regime is covered separately by
+    # an absolute-error test.
+    label = int(rng.integers(0, C))
+    W = rng.standard_normal((C, F)) / math.sqrt(F)
+    lam = 10.0 ** rng.uniform(-2.0, -0.5)
+    bank = CovarianceBank(C, F, DIAGONAL if diagonal else FULL)
+    if diagonal:
+        bank.stats[label] = ClassStats(class_id=0, count=7, mean=rng.standard_normal(F),
+                                       cov=rng.uniform(0.05, 0.6, F))
+    else:
+        bank.stats[label] = _random_stats(rng, F, scale=rng.uniform(0.1, 0.5))
+    if variant in AFFINE_VARIANTS:
+        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
+    else:
+        head = ClassifierHead(weights=W, biases=None,
+                              scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
+    return label, lam, bank, head
+
+
 def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
     """Inputs of one loss gradient check: (loss_fn, embedding, head).
 
@@ -213,28 +238,11 @@ def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
     cosine lies within ``kink_gap`` of +-1, where the difficulty clamp
     puts a kink that a difference stencil must not straddle.
     """
-    # Magnitudes here are deliberately tame (unit-scale rows, lambda well
-    # below 1, modest scale s). Saturated softmax terms have true gradient
-    # entries below what central differences can resolve against the
-    # relative-error floor; the saturated regime is covered separately by
-    # an absolute-error test.
     rng = philox_rng(seed, _VARIANT_ID[variant], trial)
     C = 3 + int(rng.integers(0, 6))
     F = 3 + int(rng.integers(0, 6))
     f = _unit(rng, F, floor=0.1)
-    label = int(rng.integers(0, C))
-    W = rng.standard_normal((C, F)) / math.sqrt(F)
-    lam = 10.0 ** rng.uniform(-2.0, -0.5)
-    diagonal = trial % 2 == 1
-    if diagonal:
-        stats = ClassStats(class_id=0, count=7, mean=rng.standard_normal(F),
-                           cov=rng.uniform(0.05, 0.6, F))
-    else:
-        stats = _random_stats(rng, F, scale=rng.uniform(0.1, 0.5))
-    bank = CovarianceBank(C, F, DIAGONAL if diagonal else FULL)
-    bank.stats[label] = ClassStats(class_id=label, count=stats.count,
-                                   mean=stats.mean, cov=stats.cov)
-
+    label, lam, bank, head = _scenario(rng, variant, C, F, diagonal=trial % 2 == 1)
     if variant == "dasa":
         cfg = LossConfig(
             variant="dasa",
@@ -247,25 +255,13 @@ def _gradcheck_case(variant: str, trial: int, seed, kink_gap: float):
         # at t = T = 1 with nothing deferred the schedule is lambda0 itself
         cfg = LossConfig(variant=variant, difficulty=("DA", "DY")[trial % 2],
                          lambda0=lam, gamma=2.0, ramp_total_iters=1, deferred_fraction=0.0)
-    t = 1
-    if variant in AFFINE_VARIANTS:
-        head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
-    else:
-        head = ClassifierHead(weights=W, biases=None,
-                              scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
-        if variant == "dasa":
-            t = int(rng.integers(0, 11))
-        What, _ = _normalized_rows(W)
+    t = int(rng.integers(0, 11)) if variant == "dasa" else 1
+    if variant not in AFFINE_VARIANTS:
+        What, _ = _normalized_rows(head.weights)
         while 1.0 - abs(float(What[label] @ f)) <= kink_gap:
             f = _unit(rng, F, floor=0.1)
         head = replace(head, scale=_tempered_scale(f, head, bank, label, cfg, t))
     return (lambda e, h, value_only=False: variant_loss(e, h, bank, label, cfg, t, value_only=value_only)), f, head
-
-
-def _gradcheck_scenario(variant: str, trial: int, seed, epsilon: float) -> float:
-    # every entry is stepped by up to epsilon, which moves the target
-    # cosine by up to about epsilon; keep twice that clear of the clamp
-    return loss_gradient_check(*_gradcheck_case(variant, trial, seed, 2 * epsilon), epsilon)
 
 
 def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradTrial]:
@@ -273,7 +269,9 @@ def gradcheck_suite(trials_per_variant: int, epsilon: float, seed) -> list[GradT
     out = []
     for variant in VARIANTS:
         for k in range(trials_per_variant):
-            err = _gradcheck_scenario(variant, k, seed, epsilon)
+            # every entry is stepped by up to epsilon, which moves the target
+            # cosine by up to about epsilon; keep twice that clear of the clamp
+            err = loss_gradient_check(*_gradcheck_case(variant, k, seed, 2 * epsilon), epsilon)
             out.append(GradTrial(kind="loss", variant=variant, trial=k, max_rel_error=err))
     return out
 
@@ -296,39 +294,25 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
         # pre-normalization magnitude that keeps the sphere projection
         # (and its curvature) benign for finite differences.
         x = rng.standard_normal(d_in)
-        f0, cache = emb.forward(x)
+        f, cache = emb.forward(x)
         for _ in range(50):
             alive = all(int(np.count_nonzero(h > 0)) >= 2 for h in cache.hidden)
             if not cache.fallback[0] and cache.prenorm[0] >= 0.5 and alive:
                 break
             x = rng.standard_normal(d_in)
-            f0, cache = emb.forward(x)
-        label = int(rng.integers(0, C))
-        W = rng.standard_normal((C, F)) / math.sqrt(F)
-        lam = 10.0 ** rng.uniform(-2.0, -0.5)
-        stats = _random_stats(rng, F, scale=rng.uniform(0.1, 0.5))
-        bank = CovarianceBank(C, F, FULL)
-        bank.stats[label] = ClassStats(class_id=label, count=stats.count,
-                                       mean=stats.mean, cov=stats.cov)
+            f, cache = emb.forward(x)
+        label, lam, bank, head = _scenario(rng, variant, C, F, diagonal=False)
         # the schedule at t = T with nothing deferred is lambda0 itself
         cfg = LossConfig(variant=variant, difficulty="DA", strength_mode="constant",
                          lambda0=lam, ramp_total_iters=10, deferred_fraction=0.0)
-        if variant in AFFINE_VARIANTS:
-            head = ClassifierHead(weights=W, biases=0.5 * rng.standard_normal(C))
-        else:
-            head = ClassifierHead(weights=W, biases=None,
-                                  scale=2.0 + 2.0 * rng.random(), margin=0.05 + 0.25 * rng.random())
-            head = replace(head, scale=_tempered_scale(f0[0], head, bank, label, cfg, 10))
-
-        def loss_of(embedder: TinyEmbedder, hd: ClassifierHead, value_only: bool = False):
-            f, cache = embedder.forward(x)
-            return variant_loss(f[0], hd, bank, label, cfg, 10, value_only=value_only), cache
-
-        loss, cache = loss_of(emb, head)
+        if variant not in AFFINE_VARIANTS:
+            head = replace(head, scale=_tempered_scale(f[0], head, bank, label, cfg, 10))
+        # differentiate the forward pass the redraw loop settled on
+        loss = variant_loss(f[0], head, bank, label, cfg, 10)
         param_grads = emb.backward(cache, loss.grad_embedding)
 
         def value() -> float:
-            return loss_of(emb, head, value_only=True)[0].value[0]
+            return variant_loss(emb.forward(x)[0][0], head, bank, label, cfg, 10, value_only=True).value[0]
 
         pairs = [pair for layer, (gW, gb) in enumerate(param_grads)
                  for pair in ((emb.weights[layer], gW), (emb.biases[layer], gb))]

@@ -69,6 +69,8 @@ class TrainSettings:
             raise ValueError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if not self.max_nontarget_per_target > 0:  # inf takes every non-target pair
+            raise ValueError(f"max_nontarget_per_target must be > 0, got {self.max_nontarget_per_target}")
         if self.cov_mode not in (FULL, DIAGONAL):
             raise ValueError(f"cov_mode must be {FULL!r} or {DIAGONAL!r}, got {self.cov_mode!r}")
 

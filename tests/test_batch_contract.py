@@ -82,6 +82,23 @@ def test_a_loss_takes_one_embedding_as_a_batch_of_one(name, value_only, mode):
         np.testing.assert_array_equal(value, batch.per_sample_terms[key], strict=True)
 
 
+@pytest.mark.parametrize("label", [2.0, "1", True, np.bool_(True), None])
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_a_loss_rejects_a_label_that_is_not_an_integer(name, label):
+    # the rule of CovarianceBank.update: a bad label is a ValueError, and a bool is no label
+    affine, cosine, bank, f = _setup(FULL)
+    with pytest.raises(ValueError, match="is not an integer"):
+        LOSSES[name](f, label, affine, cosine, bank, False)
+
+
+@pytest.mark.parametrize("label", [LABEL, np.int64(LABEL), np.uint8(LABEL)])
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_a_loss_takes_a_python_or_numpy_integer_label(name, label):
+    affine, cosine, bank, f = _setup(FULL)
+    np.testing.assert_array_equal(LOSSES[name](f, label, affine, cosine, bank, True).value,
+                                  LOSSES[name](f, LABEL, affine, cosine, bank, True).value, strict=True)
+
+
 def test_the_embedder_takes_one_row_as_a_batch_of_one():
     rng = philox_rng(451)
     net = TinyEmbedder([3, 6, F], rng)

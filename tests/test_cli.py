@@ -210,6 +210,22 @@ def test_grad_check_small_run_passes(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 5 + 1
 
 
+def test_a_failed_check_leaves_its_config_and_an_error_leaves_none(tmp_path, capsys, monkeypatch):
+    import semaug.cli
+    from semaug.suites import GradTrial
+
+    failed = [GradTrial(kind="loss", variant="am", trial=0, max_rel_error=1.0)]
+    monkeypatch.setattr(semaug.cli, "gradcheck_suite", lambda trials, epsilon, seed: failed)
+    out = tmp_path / "gc"
+    assert entry(["grad-check", "--out", str(out), "--set", "grad.composed_trials=0"]) == 3
+    assert "gradient check FAILED" in capsys.readouterr().err
+    assert (out / "grad_check.config").is_file()
+
+    out = tmp_path / "train"
+    assert entry(["train", "--out", str(out), "--set", f"train.dataset={tmp_path / 'none.csv'}"]) == 2
+    assert not (out / "train.config").exists()
+
+
 # Seed 39 first draws loss/daam trial 29 with cos_y = 1 - 1.47e-5, where the
 # default stencil would straddle the difficulty clamp at 1; the suite redraws
 # that embedding (tests/test_suites.py checks the gradient at the original).

@@ -75,13 +75,15 @@ def test_typed_parsing_and_bad_values():
     ("loss.margin", "-1", "margin must be nonnegative and finite, got -1.0"),
     ("loss.margin", "inf", "margin must be nonnegative and finite, got inf"),
     ("opt.weight_decay", "inf", "weight_decay must be >= 0 and finite"),
+    ("eval.max_nontarget_per_target", "0", "max_nontarget_per_target must be > 0, got 0.0"),
+    ("eval.max_nontarget_per_target", "-1", "max_nontarget_per_target must be > 0, got -1.0"),
     ("stats.after_deferred_only", "-7", "must be 0 or 1, got -7"),
     ("train.diagnostics", "42", "must be 0 or 1, got 42"),
     ("grad.trials", "-1", "trials must be >= 0, got -1"),
     ("grad.composed_trials", "-3", "composed_trials must be >= 0, got -3"),
     ("bound.trials", "-2", "trials must be >= 0, got -2"),
-    ("bound.samples", "5", "samples must be >= 100, got 5"),
-    ("bound.samples", "2001", "samples must be even, got 2001"),
+    ("bound.samples", "5", "count must be >= 100, got 5"),
+    ("bound.samples", "2001", "count must be even: the draws come in antithetic pairs, got 2001"),
     ("grad.epsilon", "1e-3", "epsilon must be in [1e-7, 1e-4], got 0.001"),
     ("compare.variants", "am,bogus",
      "each variant must be one of ('softmax', 'isda', 'am', 'daam', 'dasa'), got 'bogus'"),

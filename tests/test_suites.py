@@ -3,10 +3,13 @@ and small smoke runs of the bound and gradient suites."""
 
 import math
 
+import numpy as np
 import pytest
 
+from semaug.covariance import DIAGONAL, FULL
 from semaug.losses import loss_gradient_check
 from semaug.montecarlo import McReport
+from semaug.rng import philox_rng
 from semaug.suites import (
     BOUND_FAMILIES,
     BoundTrial,
@@ -17,7 +20,7 @@ from semaug.suites import (
     jensen_suite_passes,
     jensen_trial,
     _gradcheck_case,
-    _gradcheck_scenario,
+    _scenario,
 )
 
 
@@ -113,6 +116,28 @@ def test_composed_gradcheck_rejects_a_step_out_of_range():
             composed_gradcheck(1, epsilon, seed=0)
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("variant", ["softmax", "isda", "am", "daam", "dasa"])
+def test_a_scenario_has_statistics_at_its_label_only(variant, diagonal):
+    labels = set()
+    for key in range(6):
+        label, lam, bank, head = _scenario(philox_rng(7, key), variant, 5, 4, diagonal)
+        labels.add(label)
+        assert bank.mode == (DIAGONAL if diagonal else FULL)
+        assert bank.count[label] > 0
+        assert not np.delete(bank.count, label).any()
+        assert 10.0 ** -2 <= lam <= 10.0 ** -0.5
+        assert head.weights.shape == (5, 4)
+        assert (head.biases is not None) == (variant in ("softmax", "isda"))
+    assert len(labels) > 1
+    again = _scenario(philox_rng(7, key), variant, 5, 4, diagonal)
+    assert again[:2] == (label, lam) and (again[3].scale, again[3].margin) == (head.scale, head.margin)
+    for name in ("count", "mean", "cov"):
+        np.testing.assert_array_equal(getattr(again[2], name), getattr(bank, name), strict=True)
+    for name in ("weights", "biases"):
+        np.testing.assert_array_equal(getattr(again[3], name), getattr(head, name), strict=True)
+
+
 def test_gradcheck_suite_is_deterministic():
     a = gradcheck_suite(1, 3e-5, seed=9)
     b = gradcheck_suite(1, 3e-5, seed=9)
@@ -130,4 +155,4 @@ def test_gradient_is_right_next_to_the_difficulty_clamp():
 
     fn, f, head = _gradcheck_case("daam", 29, 39, kink_gap=1.2e-4)
     assert 1.0 - abs(fn(f, head).per_sample_terms["cos_y"][0]) > 1.2e-4
-    assert _gradcheck_scenario("daam", 29, 39, 6e-5) < 1e-5
+    assert loss_gradient_check(*_gradcheck_case("daam", 29, 39, 2 * 6e-5), 6e-5) < 1e-5

@@ -112,6 +112,7 @@ def cmd_train(cfg: dict, args) -> int:
                      range(len(run.eval_indices)), run.eval_embeddings)
     write_trials(os.path.join(out, "trials.csv"), run.trials)
     print(format_metrics(run.final_eer, run.final_min_dcf))
+    print(f"fallbacks={run.fallback_count}", file=sys.stderr)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Synthetic multi-class datasets with a controllable difficulty knob,
 plus every CSV table format: the dialect and the 17-digit float cell of
-each table the package writes (:func:`open_csv`) or reads
-(:func:`read_csv_rows`) live here alone.  The one exception is the
-``bank.csv`` writer, ``covariance.save_bank``, whose ``\\n`` line ends and
-``key=value`` header ``bench/checks.py`` parses.
+each table the package writes (:func:`write_columns` for whole columns,
+:func:`open_csv` for rows that differ or are streamed) or reads
+(:func:`read_csv_rows`, and :func:`read_int_block` for a clean integer
+table) live here alone.  The one exception is the ``bank.csv`` writer,
+``covariance.save_bank``, whose ``\\n`` line ends and ``key=value`` header
+``bench/checks.py`` parses.
 
 Class centers are drawn uniformly on the unit sphere; a configurable
 fraction of center pairs is then re-placed at a small angular separation
@@ -19,9 +21,12 @@ un-normalized; normalization happens inside the embedding network.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -172,12 +177,28 @@ def write_csv(path, header: list, lines) -> None:
         write(lines)
 
 
+CHUNK_ROWS = 1024  # rows formatted by one ``%`` and written by one ``fh.write``
+
+
+def write_columns(path, header: list, template: str, columns: list) -> None:
+    """Create ``path`` and write its header line and one line per row of
+    ``columns``, equal-length lists holding one cell of ``template`` each:
+    the bytes :func:`write_csv` writes for the same rows.  Each chunk of
+    :data:`CHUNK_ROWS` rows is formatted by a single ``%`` over the
+    template repeated, its cells taken row by row across the columns."""
+    line = template + "\r\n"
+    rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            chunk = [column[start:start + CHUNK_ROWS] for column in columns]
+            fh.write(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     d = dataset.dim
-    row = "%d," + float_cells(d) + ",%s"
-    write_csv(path, ["label"] + [f"x{i}" for i in range(d)] + ["split"],
-              ((row, (label, *x.tolist(), tag)) for label, x, tag in
-               zip(dataset.labels.tolist(), dataset.features, dataset.split.tolist())))
+    write_columns(path, ["label"] + [f"x{i}" for i in range(d)] + ["split"], "%d," + float_cells(d) + ",%s",
+                  [dataset.labels.tolist(), *dataset.features.T.tolist(), dataset.split.tolist()])
 
 
 def read_csv_rows(path) -> tuple[list[list[str]], range | list[int]]:
@@ -204,6 +225,51 @@ def read_csv_rows(path) -> tuple[list[list[str]], range | list[int]]:
     if not rows:
         raise ValueError(f"{path}: line 1: empty file")
     return rows, lines
+
+
+def read_int_block(path, header: list, width: int) -> np.ndarray | None:
+    """The (N, ``width``) int64 block of a file in the plain form the
+    writers give an integer table: the ``header`` line ended by
+    ``"\\r\\n"``, then N > 0 rows of decimal cells with no sign and no
+    leading zero, each line ended by ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``.
+    numpy's C tokenizer reads it.  Any other file, or an error or warning
+    on the way, gives None, and the caller reads the file with
+    :func:`read_csv_rows`.  In the plain form the block is the one ``int``
+    gives cell by cell; outside it the two can differ: numpy strips a
+    ``"\\x1c"`` that ``int`` rejects, and reads leading zeros past
+    ``int``'s digit limit or the csv module's field limit."""
+    head = (",".join(header) + "\r\n").encode()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.startswith(head):
+            return None
+        body = data[len(head):]
+        separators = body.translate(None, b"0123456789")
+        if separators.translate(None, b",\r\n"):
+            return None  # a byte besides digits, commas and line ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, delimiter=",",
+                               comments=None, quotechar=None, ndmin=2)
+    except (OSError, ValueError, Warning):  # a warning raised as an error
+        return None
+    if block.shape[0] == 0 or block.shape[1] != width:
+        return None
+    if shortest_digits(block) != len(body) - len(separators):
+        return None  # some cell has a leading zero
+    return block
+
+
+def shortest_digits(cells: np.ndarray) -> int:
+    """The number of digits of the non-negative ``cells`` written without leading zeros."""
+    total = cells.size
+    for k in range(1, 19):
+        above = int(np.count_nonzero(cells >= 10**k))
+        if not above:
+            break
+        total += above
+    return total
 
 
 def utf8_error(path) -> ValueError:
@@ -290,9 +356,8 @@ def read_dataset(path) -> Dataset:
 def write_embeddings(path, indices, vectors) -> None:
     """Embedding CSV: header 'index,e0,...,e{F-1}', one row per vector."""
     V = np.asarray(vectors, dtype=float)
-    row = "%d," + float_cells(V.shape[1])
-    write_csv(path, ["index"] + [f"e{i}" for i in range(V.shape[1])],
-              ((row, (int(idx), *e.tolist())) for idx, e in zip(indices, V)))
+    write_columns(path, ["index"] + [f"e{i}" for i in range(V.shape[1])], "%d," + float_cells(V.shape[1]),
+                  [list(map(int, indices)), *V.T.tolist()])
 
 
 def read_embeddings(path) -> dict[int, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FLOAT, parse_rows, read_csv_rows, write_csv
+from .data import FLOAT, parse_rows, read_csv_rows, read_int_block, write_columns
 from .rng import philox_rng
 
 
@@ -151,10 +151,12 @@ def compute_min_dcf(scoreset: ScoreSet, params: DcfParams | None = None) -> floa
     return float(costs.min())
 
 
+TRIALS_HEADER = ["index_a", "index_b", "is_target"]
+
+
 def write_trials(path, trials: TrialSet) -> None:
-    write_csv(path, ["index_a", "index_b", "is_target"],
-              (("%d,%d,%d", row) for row in
-               zip(trials.index_a.tolist(), trials.index_b.tolist(), trials.is_target.tolist())))
+    write_columns(path, TRIALS_HEADER, "%d,%d,%d",
+                  [trials.index_a.tolist(), trials.index_b.tolist(), trials.is_target.astype(int).tolist()])
 
 
 def read_trials(path) -> TrialSet:
@@ -165,12 +167,11 @@ def read_trials(path) -> TrialSet:
     raises ``ValueError("<path>: line N: ...")``.  The block is cast to
     int64 in one call and checked at once; a file that fails names its
     first bad line by bisection (``data.parse_rows``), which holds because
-    no rule looks ahead.
+    no rule looks ahead.  A file in the writer's own plain form is first
+    read by ``data.read_int_block``, whose block goes through the same
+    rules; only when that read or a rule fails is the file read again row
+    by row, and only that read reports a defect.
     """
-    rows, lines = read_csv_rows(path)
-    if rows[0] != ["index_a", "index_b", "is_target"]:
-        raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
-
     def parse(block):
         try:
             T = np.array(block, dtype=np.int64)
@@ -188,14 +189,22 @@ def read_trials(path) -> TrialSet:
             raise ValueError(f"is_target must be 0 or 1, got {t[bad.argmax()]}")
         return TrialSet(index_a=a, index_b=b, is_target=t == 1)
 
+    block = read_int_block(path, TRIALS_HEADER, 3)
+    if block is not None:
+        try:
+            return parse(block)
+        except ValueError:
+            pass  # the row read below names the line
+    rows, lines = read_csv_rows(path)
+    if rows[0] != TRIALS_HEADER:
+        raise ValueError(f"{path}: line 1: expected header 'index_a,index_b,is_target'")
     return parse_rows(path, rows, lines, 3, parse)
 
 
 def write_scores(path, trials: TrialSet, scoreset: ScoreSet) -> None:
-    write_csv(path, ["index_a", "index_b", "score", "is_target"],
-              (("%d,%d," + FLOAT + ",%d", row) for row in
-               zip(trials.index_a.tolist(), trials.index_b.tolist(),
-                   scoreset.scores.tolist(), scoreset.is_target.tolist())))
+    write_columns(path, ["index_a", "index_b", "score", "is_target"], "%d,%d," + FLOAT + ",%d",
+                  [trials.index_a.tolist(), trials.index_b.tolist(), scoreset.scores.tolist(),
+                   scoreset.is_target.astype(int).tolist()])
 
 
 def format_metrics(eer: float, min_dcf: float) -> str:

@@ -1,6 +1,7 @@
 """Command-line flows: exit codes, produced files, reproducibility from
 the recorded resolved config, and the scoring round trip."""
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from semaug import cli
 from semaug.cli import entry
 from semaug.data import write_embeddings
 from semaug.metrics import TrialSet, write_trials
+from semaug.trainer import train
 
 TINY_DATA = [
     "--set", "data.num_classes=3",
@@ -66,6 +69,20 @@ def test_train_then_score_reproduces_the_metrics_line(tmp_path, capsys):
     score_line = capsys.readouterr().out.strip().splitlines()[-1]
     assert score_line == train_line
     assert (score_out / "scores.csv").is_file()
+
+
+def test_train_prints_the_fallback_count_to_stderr_only(tmp_path, capsys, monkeypatch):
+    """The embedder's all-dead fallback count goes to standard error after
+    the metrics line; standard output is that line alone."""
+    gen_out = run_gen(tmp_path)
+    capsys.readouterr()
+    argv = ["train", "--out", str(tmp_path / "t"), *TINY_TRAIN, "--set", f"train.dataset={gen_out / 'dataset.csv'}"]
+    assert entry(argv) == 0
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"EER\(%\)=\d+\.\d{3} minDCF=\d+\.\d{3}\n", out) and err == "fallbacks=0\n"
+    monkeypatch.setattr(cli, "train", lambda *args: dataclasses.replace(train(*args), fallback_count=5))
+    assert entry(argv) == 0
+    assert capsys.readouterr() == (out, "fallbacks=5\n")
 
 
 def test_train_rerun_is_byte_identical(tmp_path):

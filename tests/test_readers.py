@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from semaug import metrics
 from semaug.cli import entry
 from semaug.config import REGISTRY, parse_config_file, resolve, serialize
 from semaug.covariance import DIAGONAL, FULL, CovarianceBank, load_bank, save_bank
@@ -624,17 +625,32 @@ def test_read_embeddings_agrees_with_the_row_reader(tmp_path, data):
         assert all(same_bits(got[k], want[k]) for k in want)
 
 
+def same_trials(got, want):
+    return all(getattr(got, name).dtype == getattr(want, name).dtype
+               and getattr(got, name).tolist() == getattr(want, name).tolist()
+               for name in ("index_a", "index_b", "is_target"))
+
+
 @st.composite
 def trial_tables(draw):
     """Trial files of a few rows of random cells, mostly valid, so that
     valid files, self-pairs, targets other than 0 or 1, negative and
-    int64-overflowing indices and ragged rows are all common."""
+    int64-overflowing indices and ragged rows are all common; and the
+    inputs numpy's tokenizer might read more loosely than the csv module
+    and ``int``: bare ``\\n`` and ``\\r`` line ends, ``#`` rows, quoted
+    cells, whitespace-only lines, a byte-order mark, float, signed and
+    zero-padded spellings, non-ASCII digits, a leading ``\\x1c`` and
+    trailing commas."""
     index = st.one_of(st.integers(0, 4).map(str),
-                      st.sampled_from(["-1", str(2**63 - 1), str(2**63), "1_0", " 2 ", "x"]))
-    target = st.sampled_from(["0", "1"]) | st.sampled_from(["-1", "2", "01", "x"])
-    row = st.tuples(index, index, target).map(list) | st.lists(index, max_size=4)
-    rows = draw(st.lists(row, max_size=5))
-    return "".join(",".join(row) + "\r\n" for row in [["index_a", "index_b", "is_target"]] + rows).encode()
+                      st.sampled_from(["-1", str(2**63 - 1), str(2**63), "1_0", " 2 ", "x", "1e3", "1.0",
+                                       "+1", "\u0663", '"1"', "01", "\x1c2", "0" * 5000 + "3"]))
+    target = st.sampled_from(["0", "1"]) | st.sampled_from(["-1", "2", "01", "x", "1.0", "+1", "\u0661"])
+    row = (st.tuples(index, index, target).map(",".join) | st.lists(index, max_size=4).map(",".join)
+           | st.sampled_from(["# x", " ", "\t", "0,1,1,", '"0",1,1']))
+    header = st.just("index_a,index_b,is_target") | st.just("\ufeffindex_a,index_b,is_target")
+    end = st.just("\r\n") | st.sampled_from(["\n", "\r"])
+    lines = [draw(header)] + draw(st.lists(row, max_size=5))
+    return "".join(line + draw(end) for line in lines).encode()
 
 
 @FUZZ
@@ -644,7 +660,61 @@ def test_read_trials_agrees_with_the_row_reader(tmp_path, data):
     path.write_bytes(data.draw(st.one_of(mutated_bytes(trials_text(tmp_path)), trial_tables())))
     (got, err), (want, want_err) = outcome(read_trials, path), outcome(read_trials_per_row, path)
     assert err == want_err
-    if want is not None:
-        for name in ("index_a", "index_b", "is_target"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    assert want is None or same_trials(got, want)
+
+
+LOOSE_TRIAL_BODIES = {
+    "lf": "0,1,1\n2,3,0\n",
+    "cr": "0,1,1\r2,3,0\r",
+    "blank-lines": "0,1,1\r\r\n\r\n2,3,0",
+    "comment": "0,1,1\r\n# x\r\n",
+    "quoted": '"0",1,1\r\n',
+    "space-line": "0,1,1\r\n \r\n",
+    "tab-line": "0,1,1\r\n\t\r\n",
+    "exponent": "1e3,1,1\r\n",
+    "point": "1.0,2,1\r\n",
+    "point-target": "2,1,1.0\r\n",
+    "plus": "+1,2,1\r\n",
+    "arabic-digit": "\u0663,1,1\r\n",
+    "arabic-target": "2,1,\u0661\r\n",
+    "trailing-comma": "0,1,1,\r\n",
+    "leading-x1c": "\x1c2,1,1\r\n",
+    "trailing-x1c": "2\x1c,1,1\r\n",
+    "nul": "2,1,1\x00\r\n",
+    "zero-padded": "01,2,1\r\n",
+    "past-int-digits": "0" * 5000 + "2,1,1\r\n",
+    "past-field-limit": " " * 200_000 + "2,1,1\r\n",
+}
+
+
+@pytest.mark.parametrize("body", LOOSE_TRIAL_BODIES)
+@pytest.mark.parametrize("bom", [False, True])
+def test_read_trials_agrees_with_the_row_reader_on_loose_spellings(tmp_path, bom, body):
+    """Each spelling numpy's tokenizer might read more loosely than the csv
+    module and ``int``, in a file that otherwise passes for the writer's."""
+    path = tmp_path / "trials.csv"
+    header = "\ufeff" * bom + "index_a,index_b,is_target\r\n"
+    path.write_text(header + LOOSE_TRIAL_BODIES[body], encoding="utf-8", newline="")
+    (got, err), (want, want_err) = outcome(read_trials, path), outcome(read_trials_per_row, path)
+    assert err == want_err
+    assert want is None or same_trials(got, want)
+
+
+def test_read_trials_takes_the_block_read_on_written_files(tmp_path, monkeypatch):
+    """The writer's output, at 1, 2 and 1,500 rows with indices up to
+    2**63 - 1, never reaches the row read; the same file with bare
+    ``\\n`` line ends does."""
+    def no_row_read(path):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(metrics, "read_csv_rows", no_row_read)
+    path = tmp_path / "trials.csv"
+    for n in (1, 2, 1500):
+        rng = philox_rng(305 + n)
+        a = rng.integers(0, 2**63 - 1, n) if n > 1 else np.array([0])
+        trials = TrialSet(index_a=a, index_b=a + 1, is_target=rng.integers(0, 2, n) == 1)
+        write_trials(path, trials)
+        assert same_trials(read_trials(path), trials)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    with pytest.raises(AssertionError, match="read row by row"):
+        read_trials(path)

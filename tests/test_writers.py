@@ -16,7 +16,7 @@ import pytest
 
 from semaug import cli, trainer
 from semaug.cli import entry
-from semaug.data import TRAIN, Dataset, SynthSpec, generate, write_dataset, write_embeddings
+from semaug.data import CHUNK_ROWS, TRAIN, Dataset, SynthSpec, generate, write_dataset, write_embeddings
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead, LossConfig
 from semaug.metrics import ScoreSet, TrialSet, write_scores, write_trials
@@ -147,6 +147,23 @@ def test_write_scores_and_trials_match_the_per_cell_writers(tmp_path):
     scores = ScoreSet(scores=floats(10, n), is_target=trials.is_target)
     same_bytes(tmp_path, write_scores, write_scores_per_cell, trials, scores)
     same_bytes(tmp_path, write_trials, write_trials_per_cell, trials)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_column_writers_match_the_per_cell_writers_at_chunk_boundaries(tmp_path, n):
+    """Tables that end just before, on and just after a chunk boundary,
+    with the SPECIAL floats also in the rows that straddle it."""
+    def straddling(seed, shape):
+        x = floats(seed, shape)
+        k = min(n, len(SPECIAL))
+        x[n - k:n] = np.reshape(SPECIAL[:k], (k,) + (1,) * (x.ndim - 1))
+        return x
+
+    trials = TrialSet(index_a=np.arange(n), index_b=np.arange(n) + 1, is_target=np.arange(n) % 3 == 0)
+    scores = ScoreSet(scores=straddling(15, n), is_target=trials.is_target)
+    assert same_bytes(tmp_path, write_trials, write_trials_per_cell, trials).count("\r\n") == n + 1
+    same_bytes(tmp_path, write_scores, write_scores_per_cell, trials, scores)
+    same_bytes(tmp_path, write_embeddings, write_embeddings_per_cell, range(n), straddling(16, (n, 3)))
 
 
 def test_save_metrics_matches_the_per_cell_writer(tmp_path):

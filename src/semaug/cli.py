@@ -122,17 +122,17 @@ def cmd_compare(cfg: dict, args) -> int:
     if len(variants) < len(settings.variants):
         print("warning: duplicate variants removed", file=sys.stderr)
     out = _outdir(cfg)
-    row = "%s,%s,%s," + FLOAT + ",%d," + float_cells(2)
-    lines = []
+    rows = []
     for seed in settings.seeds:
         ds = generate(build(SynthSpec, cfg, seed=seed))
         for v in variants:
             lc = build(LossConfig, cfg, variant=v)
             run = train(ds, lc, to_train_settings(cfg, seed=seed))
-            lines.append((row, (v, lc.difficulty, lc.strength_mode, cfg["loss.lambda0"], seed,
-                                run.final_eer, run.final_min_dcf)))
+            rows.append((v, lc.difficulty, lc.strength_mode, cfg["loss.lambda0"], seed,
+                         run.final_eer, run.final_min_dcf))
     path = os.path.join(out, "compare.csv")
-    write_csv(path, ["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"], lines)
+    write_csv(path, ["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"],
+              "%s,%s,%s," + FLOAT + ",%d," + float_cells(2), rows)
     print(path)
     return 0
 
@@ -142,10 +142,10 @@ def cmd_bound_check(cfg: dict, args) -> int:
     results = jensen_suite(settings.trials, settings.samples, cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "bound_check.csv")
-    row = "%d,%s," + FLOAT + ",%d," + float_cells(5)
     write_csv(path, ["trial", "variant", "lambda", "M", "mc_mean", "se", "bound", "slack", "z_score"],
-              ((row, (r.trial, r.family, r.lam, r.report.samples, r.report.mean, r.report.std_error,
-                      r.report.bound_value, r.report.slack, r.report.z_score)) for r in results))
+              "%d,%s," + FLOAT + ",%d," + float_cells(5),
+              ((r.trial, r.family, r.lam, r.report.samples, r.report.mean, r.report.std_error,
+                r.report.bound_value, r.report.slack, r.report.z_score) for r in results))
     failed = [v for v in family_verdicts(results) if not v.passed]
     if failed:
         for r in results:
@@ -167,9 +167,8 @@ def cmd_grad_check(cfg: dict, args) -> int:
     results += composed_gradcheck(settings.composed_trials, settings.epsilon, cfg["seed"])
     out = _outdir(cfg)
     path = os.path.join(out, "grad_check.csv")
-    row = "%s,%s,%d," + float_cells(2)
-    write_csv(path, ["kind", "variant", "trial", "epsilon", "max_rel_error"],
-              ((row, (r.kind, r.variant, r.trial, settings.epsilon, r.max_rel_error)) for r in results))
+    write_csv(path, ["kind", "variant", "trial", "epsilon", "max_rel_error"], "%s,%s,%d," + float_cells(2),
+              ((r.kind, r.variant, r.trial, settings.epsilon, r.max_rel_error) for r in results))
     bad = [r for r in results if not r.max_rel_error < GRAD_THRESHOLD]
     if bad:
         for r in bad:

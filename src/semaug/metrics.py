@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FLOAT, parse_rows, read_csv_rows, read_int_block, write_columns
+from .data import FLOAT, parse_rows, read_csv_rows, read_int_block, write_csv
 from .rng import philox_rng
 
 
@@ -155,8 +155,8 @@ TRIALS_HEADER = ["index_a", "index_b", "is_target"]
 
 
 def write_trials(path, trials: TrialSet) -> None:
-    write_columns(path, TRIALS_HEADER, "%d,%d,%d",
-                  [trials.index_a.tolist(), trials.index_b.tolist(), trials.is_target.astype(int).tolist()])
+    write_csv(path, TRIALS_HEADER, "%d,%d,%d",
+              zip(trials.index_a.tolist(), trials.index_b.tolist(), trials.is_target.astype(int).tolist()))
 
 
 def read_trials(path) -> TrialSet:
@@ -202,9 +202,9 @@ def read_trials(path) -> TrialSet:
 
 
 def write_scores(path, trials: TrialSet, scoreset: ScoreSet) -> None:
-    write_columns(path, ["index_a", "index_b", "score", "is_target"], "%d,%d," + FLOAT + ",%d",
-                  [trials.index_a.tolist(), trials.index_b.tolist(), scoreset.scores.tolist(),
-                   scoreset.is_target.astype(int).tolist()])
+    write_csv(path, ["index_a", "index_b", "score", "is_target"], "%d,%d," + FLOAT + ",%d",
+              zip(trials.index_a.tolist(), trials.index_b.tolist(), scoreset.scores.tolist(),
+                  scoreset.is_target.astype(int).tolist()))
 
 
 def format_metrics(eer: float, min_dcf: float) -> str:

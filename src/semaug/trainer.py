@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -75,8 +76,12 @@ class TrainSettings:
             raise ValueError(f"cov_mode must be {FULL!r} or {DIAGONAL!r}, got {self.cov_mode!r}")
 
 
+METRICS_HEADER = ["epoch", "loss", "mean_cos_y", "mean_coef", "lambda", "eer", "min_dcf"]
+
+
 @dataclass
 class MetricsRow:
+    """One epoch's line of ``metrics.csv``: the fields in the order of :data:`METRICS_HEADER`."""
     epoch: int
     loss: float
     mean_cos_y: float
@@ -207,7 +212,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 # blown-up parameters surface here as a non-finite
                 # embedding before any loss sees them
                 if not (np.isfinite(cache.prenorm).all() and np.isfinite(f).all()):
-                    raise TrainingDivergedError(t)
+                    raise TrainingDivergedError(t, "embedding")
                 out = variant_loss(f, head, bank, labels, cfg, t)
                 if not np.isfinite(out.value).all():
                     raise TrainingDivergedError(t)
@@ -217,8 +222,8 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 ep_coef += float(per["coef"].sum())
                 ep_lam += float(per["lambda"].sum())
                 if diag is not None:
-                    diag((diag_row, (t, *row)) for row in
-                         zip(batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
+                    diag(diag_row,
+                         zip(repeat(t), batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
                              per["lambda"].tolist(), out.value.tolist()))
                 grads = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
                 grads.append(out.grad_weights)
@@ -239,16 +244,11 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
             scores = score_trials(eval_embs, trials)
             eer, _ = compute_eer(scores)
             mdcf = compute_min_dcf(scores, settings.dcf)
-            row = MetricsRow(epoch=epoch,
-                             loss=ep_loss / n_train,
-                             mean_cos_y=ep_cos / n_train,
-                             mean_coef=ep_coef / n_train,
-                             lam=ep_lam / n_train,
-                             eer=eer, min_dcf=mdcf)
-            for v in (row.loss, row.mean_cos_y, row.mean_coef, row.lam, row.eer, row.min_dcf):
+            values = (ep_loss / n_train, ep_cos / n_train, ep_coef / n_train, ep_lam / n_train, eer, mdcf)
+            for name, v in zip(METRICS_HEADER[1:], values):
                 if not math.isfinite(v):
-                    raise TrainingDivergedError(t)
-            metrics.append(row)
+                    raise TrainingDivergedError(t, name)
+            metrics.append(MetricsRow(epoch, *values))
 
     return TrainRun(embedder=embedder, head=head, bank=bank, config=cfg,
                     metrics=metrics, total_iters=total_iters,
@@ -257,32 +257,28 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
 
 
 def save_metrics(path, metrics: list) -> None:
-    row = "%d," + float_cells(6)
-    write_csv(path, ["epoch", "loss", "mean_cos_y", "mean_coef", "lambda", "eer", "min_dcf"],
-              ((row, (r.epoch, r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf))
-               for r in metrics))
+    write_csv(path, METRICS_HEADER, "%d," + float_cells(6),
+              ((r.epoch, r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf) for r in metrics))
 
 
 def save_model(path, embedder: TinyEmbedder, head: ClassifierHead) -> None:
     """Layer dump, one CSV line per tensor, 17-significant-digit decimals."""
-    def tensor(name, arr):
-        values = np.asarray(arr, dtype=float).ravel().tolist()
-        return name + "," + float_cells(len(values)), tuple(values)
+    with open_csv(path, ["semaug-model", "1"]) as write:
+        def tensor(name, arr):
+            values = np.asarray(arr, dtype=float).ravel().tolist()
+            write(name + "," + float_cells(len(values)), [values])
 
-    def lines():
         sizes = embedder.layer_sizes
-        yield "layers" + ",%d" * len(sizes), tuple(sizes)
-        yield "scale," + FLOAT, (head.scale,)
-        yield "margin," + FLOAT, (head.margin,)
-        yield "head_biases,%d", (head.biases is not None,)
+        write("layers" + ",%d" * len(sizes), [sizes])
+        write("scale," + FLOAT, [(head.scale,)])
+        write("margin," + FLOAT, [(head.margin,)])
+        write("head_biases,%d", [(head.biases is not None,)])
         for k, (W, b) in enumerate(zip(embedder.weights, embedder.biases)):
-            yield tensor(f"W{k}", W)
-            yield tensor(f"b{k}", b)
-        yield tensor("HW", head.weights)
+            tensor(f"W{k}", W)
+            tensor(f"b{k}", b)
+        tensor("HW", head.weights)
         if head.biases is not None:
-            yield tensor("Hb", head.biases)
-
-    write_csv(path, ["semaug-model", "1"], lines())
+            tensor("Hb", head.biases)
 
 
 def load_model(path) -> tuple[TinyEmbedder, ClassifierHead]:

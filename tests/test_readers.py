@@ -28,7 +28,7 @@ from semaug.data import (
 )
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead
-from semaug.metrics import TrialSet, read_trials, write_trials
+from semaug.metrics import TRIALS_HEADER, TrialSet, read_trials, write_trials
 from semaug.rng import philox_rng
 from semaug.trainer import load_model, save_model
 
@@ -631,6 +631,10 @@ def same_trials(got, want):
                for name in ("index_a", "index_b", "is_target"))
 
 
+# spellings of a cell's value that numpy's tokenizer might read more loosely than ``int``
+LOOSE_CELLS = ["\x1c{}", "{}\x1c", "0" * 5000 + "{}", "0{}", " {} ", "+{}", "{}.0", "{}e0", '"{}"', "\u0660{}"]
+
+
 @st.composite
 def trial_tables(draw):
     """Trial files of a few rows of random cells, mostly valid, so that
@@ -640,7 +644,16 @@ def trial_tables(draw):
     and ``int``: bare ``\\n`` and ``\\r`` line ends, ``#`` rows, quoted
     cells, whitespace-only lines, a byte-order mark, float, signed and
     zero-padded spellings, non-ASCII digits, a leading ``\\x1c`` and
-    trailing commas."""
+    trailing commas.  Half the files are the writer's plain form (the
+    exact header, valid rows, every line ended by ``\\r\\n``) but for one
+    cell in one of those loose spellings: only such a file tells a block
+    read that checks its input too little from the row read."""
+    if draw(st.booleans()):
+        valid = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1)).filter(lambda r: r[0] != r[1])
+        rows = [list(map(str, r)) for r in draw(st.lists(valid, min_size=1, max_size=5))]
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[i][j] = draw(st.sampled_from(LOOSE_CELLS)).format(rows[i][j])
+        return "".join(",".join(line) + "\r\n" for line in [TRIALS_HEADER] + rows).encode()
     index = st.one_of(st.integers(0, 4).map(str),
                       st.sampled_from(["-1", str(2**63 - 1), str(2**63), "1_0", " 2 ", "x", "1e3", "1.0",
                                        "+1", "\u0663", '"1"', "01", "\x1c2", "0" * 5000 + "3"]))

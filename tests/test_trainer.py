@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from semaug import trainer
 from semaug.covariance import CovarianceBank
 from semaug.data import EVAL, TRAIN, SynthSpec, generate
 from semaug.embedder import TinyEmbedder
@@ -227,6 +228,37 @@ def test_divergence_raises_with_the_iteration():
         train(ds, LossConfig(variant="am", difficulty="none"), huge)
     except TrainingDivergedError as exc:
         assert exc.iteration >= 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["softmax", "isda", "am", "daam", "dasa"])
+def test_a_blown_up_embedding_is_named(variant):
+    """After one step at lr 1e150 the weights overflow the embedder's
+    forward pass, whose check fires before any loss sees the batch."""
+    huge = quick_settings(lr_init=1e150, lr_final=1e150, epochs=1)
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite embedding at iteration 1$"):
+        train(tiny_dataset(), LossConfig(variant=variant), huge)
+
+
+@pytest.mark.parametrize("term,column", [("cos_y", "mean_cos_y"), ("coef", "mean_coef"),
+                                         ("lambda", "lambda"), ("eer", "eer"), ("min_dcf", "min_dcf")])
+def test_a_non_finite_metrics_cell_names_its_column(monkeypatch, term, column):
+    """A per-sample term that is infinite in the first step, or an epoch's
+    EER or minDCF that is NaN, fails at the end of that epoch (3 steps of
+    8 of the 24 training samples) and names the metrics column."""
+    def loss(f, head, bank, labels, cfg, t):
+        out = variant_loss(f, head, bank, labels, cfg, t)
+        if t == 0 and term in out.per_sample_terms:
+            out.per_sample_terms[term] = np.full(labels.size, math.inf)
+        return out
+
+    monkeypatch.setattr(trainer, "variant_loss", loss)
+    if term == "eer":
+        monkeypatch.setattr(trainer, "compute_eer", lambda scores: (math.nan, 0.0))
+    if term == "min_dcf":
+        monkeypatch.setattr(trainer, "compute_min_dcf", lambda scores, params: math.nan)
+    with pytest.raises(TrainingDivergedError, match=rf"^non-finite {column} at iteration 3$"):
+        train(tiny_dataset(), LossConfig(variant="dasa"), quick_settings())
 
 
 def test_run_bookkeeping():

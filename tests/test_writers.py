@@ -16,6 +16,7 @@ import pytest
 
 from semaug import cli, trainer
 from semaug.cli import entry
+from semaug.config import CompareSettings
 from semaug.data import CHUNK_ROWS, TRAIN, Dataset, SynthSpec, generate, write_dataset, write_embeddings
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead, LossConfig
@@ -220,8 +221,8 @@ def same_file(path, oracle, *args):
     return path.read_bytes().decode()
 
 
-def test_compare_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
-    values = iter(floats(12, 18).tolist())
+def check_compare_csv(tmp_path, monkeypatch, variants, seeds):
+    values = iter(floats(12, 2 * len(variants.split(",")) * len(seeds)).tolist())
     runs = []
 
     def fake_train(dataset, loss_config, settings):
@@ -231,52 +232,74 @@ def test_compare_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "generate", lambda spec: None)
     monkeypatch.setattr(cli, "train", fake_train)
+    if not seeds:  # no config gives an empty compare, so its settings are stubbed
+        build = cli.build
+        monkeypatch.setattr(cli, "build", lambda cls, cfg, **kw: SimpleNamespace(variants=[], seeds=[])
+                            if cls is CompareSettings else build(cls, cfg, **kw))
     out = tmp_path / "cmp"
-    assert entry(["compare", "--out", str(out), "--set", "compare.variants=softmax,daam,dasa",
-                  "--set", "compare.seeds=0,3,11", "--set", "loss.lambda0=1e-05"]) == 0
+    assert entry(["compare", "--out", str(out), "--set", f"compare.variants={variants or 'am,dasa'}",
+                  "--set", f"compare.seeds={','.join(map(str, seeds)) or 0}", "--set", "loss.lambda0=1e-05"]) == 0
     rows = [(lc.variant, lc.difficulty, lc.strength_mode, 1e-05, seed, run.final_eer, run.final_min_dcf)
             for lc, seed, run in runs]
-    assert len(rows) == 9
-    assert same_file(out / "compare.csv", write_compare_per_cell, rows).count("\r\n") == 10
+    assert len(rows) == len(variants.split(",")) * len(seeds)
+    assert same_file(out / "compare.csv", write_compare_per_cell, rows).count("\r\n") == len(rows) + 1
 
 
-def test_bound_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
-    cells = floats(13, (24, 5))
-    cells[:4, 4] = [math.inf, -math.inf, -0.0, 5e-324]
+def check_bound_check_csv(tmp_path, monkeypatch, n):
+    cells = floats(13, (n, 5))
+    cells[:4, 4] = [math.inf, -math.inf, -0.0, 5e-324][:n]
     results = [BoundTrial(trial=k, family=BOUND_FAMILIES[k % 3], lam=float(cells[k, 0]) ** 2,
                           report=McReport(*cells[k, :2].tolist(), 16384 + k, *cells[k, 2:].tolist()))
                for k in range(len(cells))]
     monkeypatch.setattr(cli, "jensen_suite", lambda trials, samples, seed: results)
     out = tmp_path / "bound"
-    assert entry(["bound-check", "--out", str(out)]) == 3  # a z-score of -inf fails the suite
+    assert entry(["bound-check", "--out", str(out)]) == (3 if n else 0)  # a z-score of -inf fails the suite
     text = same_file(out / "bound_check.csv", write_bound_check_per_cell, results)
-    assert ",inf\r\n" in text and ",-inf\r\n" in text and ",-0\r\n" in text
+    assert text.count("\r\n") == n + 1
+    assert not n or (",inf\r\n" in text and ",-inf\r\n" in text and ",-0\r\n" in text)
 
 
-def test_grad_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
-    errors = floats(14, 20).tolist()
-    loss = [GradTrial("loss", v, k, e) for k, (v, e) in enumerate(zip(("am", "dasa") * 8, errors))]
-    composed = [GradTrial("composed", "daam", k, e) for k, e in enumerate(errors[16:])]
+def check_grad_check_csv(tmp_path, monkeypatch, n_loss, n_composed):
+    errors = floats(14, n_loss + n_composed).tolist()
+    loss = [GradTrial("loss", v, k, e) for k, (v, e) in enumerate(zip(("am", "dasa") * n_loss, errors[:n_loss]))]
+    composed = [GradTrial("composed", "daam", k, e) for k, e in enumerate(errors[n_loss:])]
     monkeypatch.setattr(cli, "gradcheck_suite", lambda trials, epsilon, seed: list(loss))
     monkeypatch.setattr(cli, "composed_gradcheck", lambda trials, epsilon, seed: composed)
     # the step's range ends; 5e-324 and 0.1 are among the error cells
     for epsilon in ("6e-05", "1e-7", "1e-4"):
         out = tmp_path / f"grad{epsilon}"
-        assert entry(["grad-check", "--out", str(out), "--set", f"grad.epsilon={epsilon}"]) == 3
-        same_file(out / "grad_check.csv", write_grad_check_per_cell, loss + composed, float(epsilon))
+        assert entry(["grad-check", "--out", str(out), "--set", f"grad.epsilon={epsilon}"]) == (3 if errors else 0)
+        text = same_file(out / "grad_check.csv", write_grad_check_per_cell, loss + composed, float(epsilon))
+        assert text.count("\r\n") == n_loss + n_composed + 1
 
 
-@pytest.mark.parametrize("variant,cov_mode,diverge", [
-    ("am", "full", False),
-    ("dasa", "diagonal", False),
-    ("dasa", "full", True),
-])
-def test_diagnostics_match_the_per_cell_writer(tmp_path, monkeypatch, variant, cov_mode, diverge):
+def test_compare_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    check_compare_csv(tmp_path, monkeypatch, "softmax,daam,dasa", [0, 3, 11])
+
+
+def test_bound_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    check_bound_check_csv(tmp_path, monkeypatch, 24)
+
+
+def test_grad_check_csv_matches_the_per_cell_writer(tmp_path, monkeypatch):
+    check_grad_check_csv(tmp_path, monkeypatch, 16, 4)
+
+
+@pytest.mark.parametrize("n", [0, CHUNK_ROWS + 1])
+def test_result_tables_match_the_per_cell_writers_at_chunk_edges(tmp_path, monkeypatch, n):
+    """The compare, bound-check and grad-check tables with no rows, and
+    with one row past the first chunk."""
+    check_compare_csv(tmp_path, monkeypatch, "softmax,isda,am,daam,dasa" if n else "", list(range(n // 5)))
+    check_bound_check_csv(tmp_path, monkeypatch, n)
+    check_grad_check_csv(tmp_path, monkeypatch, max(n - 4, 0), min(n, 4))
+
+
+def check_diagnostics(tmp_path, monkeypatch, variant, cov_mode, diverge, spec, batch):
     """Every row the trainer reached, a diverged run's included, with the
     per-sample numbers replaced by chosen floats after each loss call."""
-    ds = generate(SynthSpec(num_classes=4, dim=5, samples_per_class=12, seed=2))
+    ds = generate(spec)
     path = tmp_path / "diagnostics.csv"
-    settings = TrainSettings(hidden=[6], embed_dim=3, epochs=3, batch_size=7, cov_mode=cov_mode,
+    settings = TrainSettings(hidden=[6], embed_dim=3, epochs=3, batch_size=batch, cov_mode=cov_mode,
                              diagnostics_path=str(path))
     loss = trainer.variant_loss
     steps = []
@@ -302,7 +325,24 @@ def test_diagnostics_match_the_per_cell_writer(tmp_path, monkeypatch, variant, c
     batches = [order[s:s + B] for order in (shuffle.permutation(train_idx) for _ in range(settings.epochs))
                for s in range(0, train_idx.size, B)]
     assert len(steps) == (len(batches) // 3 if diverge else len(batches))
+    assert max(map(len, batches)) == batch
     same_file(path, write_diagnostics_per_cell, [(t, batch, *cols) for (t, *cols), batch in zip(steps, batches)])
+
+
+@pytest.mark.parametrize("variant,cov_mode,diverge", [
+    ("am", "full", False),
+    ("dasa", "diagonal", False),
+    ("dasa", "full", True),
+])
+def test_diagnostics_match_the_per_cell_writer(tmp_path, monkeypatch, variant, cov_mode, diverge):
+    check_diagnostics(tmp_path, monkeypatch, variant, cov_mode, diverge,
+                      SynthSpec(num_classes=4, dim=5, samples_per_class=12, seed=2), 7)
+
+
+def test_diagnostics_of_a_batch_past_one_chunk_match_the_per_cell_writer(tmp_path, monkeypatch):
+    """5 classes of 256 - 51 training samples: each epoch is one batch of CHUNK_ROWS + 1 rows."""
+    check_diagnostics(tmp_path, monkeypatch, "dasa", "full", False,
+                      SynthSpec(num_classes=5, dim=5, samples_per_class=256, seed=2), CHUNK_ROWS + 1)
 
 
 def test_diagnostics_file_fails_before_any_training(tmp_path, monkeypatch):

@@ -3,10 +3,10 @@
 Subcommands: gen, train, compare, bound-check, grad-check, score.  Every
 command resolves its configuration from defaults, an optional --config
 file, and repeatable --set key=value overrides (--seed and --out are
-shorthands for the seed/out keys).  A command that returns (exit 0, or 3
-for a failed check) leaves the fully resolved configuration next to its
-outputs as <command>.config, so any run can be reproduced exactly; one
-stopped by an error leaves none.
+shorthands for the seed/out keys, parsed and checked like --set).  A
+command that returns (exit 0, or 3 for a failed check) leaves the fully
+resolved configuration next to its outputs as <command>.config, so any
+run can be reproduced exactly; one stopped by an error leaves none.
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure
 (divergence, degenerate covariance, or a failed bound/gradient check).
@@ -44,7 +44,7 @@ GRAD_THRESHOLD = 1e-5
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="configuration file (flat key = value lines)")
-    p.add_argument("--seed", type=int, help="override the seed key")
+    p.add_argument("--seed", help="override the seed key")
     p.add_argument("--out", help="override the out (output directory) key")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
@@ -78,10 +78,9 @@ def _resolve_config(args) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = parse_value(key.strip(), raw)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
+    for key in ("seed", "out"):  # the shorthands win over --set
+        if (raw := getattr(args, key)) is not None:
+            overrides[key] = parse_value(key, raw)
     return resolve(file_values, overrides)
 
 

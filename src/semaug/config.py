@@ -10,11 +10,19 @@ Most keys stand for a field of a settings dataclass; ``FIELDS`` maps each
 to its dataclass and field.  Such a key's default is the field's default,
 so the library and the command line share one set of defaults, and
 :func:`build` fills each dataclass from the same table.
+
+A resolved ``cfg`` holds field values: each key's parser turns text into
+the value its field takes, so a list key (``model.hidden``,
+``compare.variants``, ``compare.seeds``) holds a list and a 0/1 flag a
+bool.  Library callers of ``resolve(overrides=...)`` pass values in that
+form.  :func:`serialize` is the one place a value becomes text again: a
+list comma-joined, a bool as 0 or 1, anything else with ``str``.
 """
 
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field
 
 from .data import SynthSpec, utf8_error
@@ -52,11 +60,22 @@ def _float(s: str) -> float:
     return v
 
 
-def _flag(s: str) -> int:
+def _flag(s: str) -> bool:
     v = int(s)
     if v not in (0, 1):
         raise ValueError(f"must be 0 or 1, got {v}")
-    return v
+    return bool(v)
+
+
+def _ints(s: str) -> list:  # comma-separated; blank text is no ints
+    try:
+        return [int(v, 10) for v in s.split(",")] if s else []
+    except ValueError:
+        raise ValueError(repr(s)) from None
+
+
+def _names(s: str) -> list:  # comma-separated; blank names are dropped
+    return [v.strip() for v in s.split(",") if v.strip()]
 
 
 # key -> (parser, dataclass, field); the key's default is the field's default
@@ -68,7 +87,7 @@ FIELDS = {
     "data.sigma": (_float, SynthSpec, "sigma"),
     "data.anisotropy": (_float, SynthSpec, "anisotropy"),
     "data.hard_pair_fraction": (_float, SynthSpec, "hard_pair_fraction"),
-    "model.hidden": (str, TrainSettings, "hidden"),
+    "model.hidden": (_ints, TrainSettings, "hidden"),
     "model.embed_dim": (int, TrainSettings, "embed_dim"),
     "loss.variant": (str, LossConfig, "variant"),
     "loss.difficulty": (str, LossConfig, "difficulty"),
@@ -90,8 +109,8 @@ FIELDS = {
     "eval.p_target": (_float, DcfParams, "p_target"),
     "eval.c_miss": (_float, DcfParams, "c_miss"),
     "eval.c_fa": (_float, DcfParams, "c_fa"),
-    "compare.variants": (str, CompareSettings, "variants"),
-    "compare.seeds": (str, CompareSettings, "seeds"),
+    "compare.variants": (_names, CompareSettings, "variants"),
+    "compare.seeds": (_ints, CompareSettings, "seeds"),
     "bound.trials": (int, BoundSettings, "trials"),
     "bound.samples": (int, BoundSettings, "samples"),
     "grad.trials": (int, GradSettings, "trials"),
@@ -100,42 +119,12 @@ FIELDS = {
 }
 
 
-def _int_list(key: str):  # blank text is no ints
-    def ints(cfg: dict) -> list:
-        text = cfg[key].strip()
-        if not text:
-            return []
-        try:
-            return [int(s.strip(), 10) for s in text.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from None
-    return ints
-
-
-hidden_sizes = _int_list("model.hidden")
-
-# Keys whose value has another form than their field: key -> (cfg -> field
-# value, field value -> key value).  The comma lists are text like "32,16".
-_FORMS = {
-    "model.hidden": (hidden_sizes, lambda sizes: ",".join(map(str, sizes))),
-    "compare.variants": (lambda cfg: [v.strip() for v in cfg["compare.variants"].split(",") if v.strip()],
-                         ",".join),
-    "compare.seeds": (_int_list("compare.seeds"), lambda seeds: ",".join(map(str, seeds))),
-    "stats.after_deferred_only": (lambda cfg: bool(cfg["stats.after_deferred_only"]), int),
-}
-
-
-def _key_default(key: str, cls, name: str):
-    value = getattr(cls(), name)
-    return _FORMS[key][1](value) if key in _FORMS else value
-
-
 # key -> (parser, default); the keys of FIELDS first, then those no dataclass holds
 REGISTRY = {
-    **{key: (parser, _key_default(key, cls, name)) for key, (parser, cls, name) in FIELDS.items()},
+    **{key: (parser, getattr(cls(), name)) for key, (parser, cls, name) in FIELDS.items()},
     "out": (str, "out"),
     "train.dataset": (str, "dataset.csv"),
-    "train.diagnostics": (_flag, 0),
+    "train.diagnostics": (_flag, False),
 }
 
 
@@ -143,8 +132,7 @@ def build(cls, cfg: dict, **extra):
     """An instance of ``cls`` from its keys in ``cfg``; ``extra`` wins.  A
     field no key names, like ``LossConfig.ramp_total_iters``, keeps its
     default."""
-    kwargs = {name: _FORMS[key][0](cfg) if key in _FORMS else cfg[key]
-              for key, (_, owner, name) in FIELDS.items() if owner is cls}
+    kwargs = {name: cfg[key] for key, (_, owner, name) in FIELDS.items() if owner is cls}
     return cls(**{**kwargs, **extra})
 
 
@@ -159,9 +147,7 @@ def parse_value(key: str, raw: str):
         value = parser(raw.strip())
         if key in FIELDS:
             _, cls, name = FIELDS[key]
-            cls(**{name: _FORMS[key][0]({key: value}) if key in _FORMS else value})
-    except ConfigError:
-        raise
+            cls(**{name: value})
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
     return value
@@ -191,7 +177,7 @@ def parse_config_file(path) -> dict:
 
 def resolve(file_values: dict | None = None, overrides: dict | None = None) -> dict:
     """Defaults, then file values, then overrides; all keys present after."""
-    cfg = {k: d for k, (_, d) in REGISTRY.items()}
+    cfg = {k: copy(d) for k, (_, d) in REGISTRY.items()}  # a list default is not shared
     for source in (file_values, overrides):
         for k, v in (source or {}).items():
             if k not in REGISTRY:
@@ -200,9 +186,17 @@ def resolve(file_values: dict | None = None, overrides: dict | None = None) -> d
     return cfg
 
 
+def _text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)  # str(float) is repr
+
+
 def serialize(cfg: dict) -> str:
     """Deterministic text form; parsing it back yields identical values."""
-    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))  # str(float) is repr
+    return "".join(f"{key} = {_text(cfg[key])}\n" for key in sorted(cfg))
 
 
 def write_config(path, cfg: dict) -> None:

@@ -84,6 +84,9 @@ def build_trials(labels, max_nontarget_per_target, seed) -> TrialSet:
     if na.size == 0:
         raise ValueError("only one class present: no nontarget pair exists")
     cap = max_nontarget_per_target * ta.size
+    if cap < 1:  # int(cap) would sample no nontarget pair
+        raise ValueError(f"max_nontarget_per_target={max_nontarget_per_target} times {ta.size} "
+                         "target pairs keeps no nontarget pair")
     if na.size > cap:
         keep = philox_rng(seed).choice(na.size, size=int(cap), replace=False)
         keep.sort()

@@ -9,7 +9,6 @@ from semaug.config import (
     CompareSettings,
     ConfigError,
     build,
-    hidden_sizes,
     parse_config_file,
     parse_value,
     resolve,
@@ -29,6 +28,14 @@ def test_resolve_defaults_covers_every_key():
     assert set(cfg) == set(REGISTRY)
     assert cfg["loss.variant"] == "dasa"
     assert cfg["opt.epochs"] == 60
+
+
+def test_a_resolved_list_is_not_the_registry_default():
+    cfg = resolve()
+    cfg["model.hidden"].append(8)
+    cfg["compare.seeds"].clear()
+    assert resolve()["model.hidden"] == [64]
+    assert resolve()["compare.seeds"] == [0, 1, 2, 3, 4]
 
 
 def test_resolve_precedence():
@@ -61,6 +68,7 @@ def test_typed_parsing_and_bad_values():
     ("opt.lr_init", "inf", "learning rates must be positive and finite"),
     ("eval.p_target", "1.5", "p_target must be in (0, 1), got 1.5"),
     ("model.hidden", "8,x", "'8,x'"),
+    ("model.hidden", "a,b", "'a,b'"),
     ("model.hidden", "0", "hidden sizes must be >= 1, got [0]"),
     ("model.hidden", "16,-2", "hidden sizes must be >= 1, got [16, -2]"),
     ("model.embed_dim", "0", "embed_dim must be >= 1, got 0"),
@@ -112,9 +120,46 @@ def test_train_rejects_a_model_or_bank_setting_before_reading_its_dataset(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "bound-check", "grad-check"])
+def test_a_negative_seed_fails_naming_its_key_before_any_file_is_touched(tmp_path, capsys, command):
+    # --seed goes through the same parser as --set seed=, ahead of the missing dataset
+    out = tmp_path / "run"
+    assert entry([command, "--seed", "-1", "--out", str(out),
+                  "--set", f"train.dataset={tmp_path / 'none.csv'}"]) == 2
+    assert capsys.readouterr().err == "error: bad value for 'seed': seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_every_default_round_trips_through_its_text(key):
+    default = REGISTRY[key][1]
+    line = serialize({key: default})
+    value = parse_value(key, line.split(" = ", 1)[1])
+    assert value == default
+    assert type(value) is type(default)
+    assert serialize({key: value}) == line
+
+
+@pytest.mark.parametrize("key,raw,value,text", [
+    ("model.hidden", "32, 16", [32, 16], "32,16"),
+    ("model.hidden", "", [], ""),
+    ("compare.variants", " softmax ,,isda", ["softmax", "isda"], "softmax,isda"),
+    ("compare.seeds", "7,0, 3", [7, 0, 3], "7,0,3"),
+    ("stats.after_deferred_only", "1", True, "1"),
+    ("train.diagnostics", "1", True, "1"),
+    ("train.diagnostics", "0", False, "0"),
+])
+def test_a_list_or_flag_parses_to_its_field_value_and_back(key, raw, value, text):
+    parsed = parse_value(key, raw)
+    assert parsed == value
+    assert type(parsed) is type(value)
+    assert serialize({key: parsed}) == f"{key} = {text}\n"
+    assert parse_value(key, text) == value
+
+
 def test_config_file_round_trip_is_exact(tmp_path):
     cfg = resolve(overrides={"opt.lr_final": 3.0000000000000004e-05,
-                             "loss.lambda0": 0.1, "model.hidden": "32,16"})
+                             "loss.lambda0": 0.1, "model.hidden": [32, 16]})
     path = tmp_path / "run.config"
     write_config(path, cfg)
     back = resolve(parse_config_file(path))
@@ -139,7 +184,7 @@ def test_serialize_is_sorted_and_reparseable():
     keys = [line.split(" = ")[0] for line in text.splitlines()]
     assert keys == sorted(keys)
     assert "opt.lr_final = 0.0001" in text
-    # keys whose text form differs from their field keep that form
+    # a list is written comma-joined, a flag as 0 or 1
     assert "model.hidden = 64\n" in text
     assert "stats.after_deferred_only = 0\n" in text
 
@@ -149,14 +194,6 @@ def test_library_defaults_are_the_registry_defaults():
     for cls in (SynthSpec, LossConfig, DcfParams, GradSettings, BoundSettings, CompareSettings):
         assert build(cls, cfg) == cls()
     assert to_train_settings(cfg) == TrainSettings()
-
-
-def test_hidden_sizes_parsing():
-    assert hidden_sizes({"model.hidden": "64"}) == [64]
-    assert hidden_sizes({"model.hidden": "32, 16"}) == [32, 16]
-    assert hidden_sizes({"model.hidden": ""}) == []
-    with pytest.raises(ConfigError, match="model.hidden"):
-        hidden_sizes({"model.hidden": "a,b"})
 
 
 def test_synth_spec_constructor():
@@ -183,7 +220,7 @@ def test_loss_config_constructor_coerces_modes():
 
 
 def test_train_settings_constructor():
-    cfg = resolve(overrides={"stats.after_deferred_only": 1, "eval.p_target": 0.05})
+    cfg = resolve(overrides={"stats.after_deferred_only": True, "eval.p_target": 0.05})
     st = to_train_settings(cfg, seed=7, diagnostics_path="d.csv")
     assert st.seed == 7
     assert st.stats_after_deferred_only is True

@@ -233,6 +233,13 @@ def test_build_trials_error_cases():
         build_trials([0, 0, 1, 1], 0, seed=0)
 
 
+def test_build_trials_rejects_a_cap_that_keeps_no_nontarget():
+    # 2 target pairs: 0.4 per target would sample int(0.8) = 0 of the 4 nontargets
+    with pytest.raises(ValueError, match=r"^max_nontarget_per_target=0.4 times 2 target pairs keeps no nontarget pair$"):
+        build_trials([0, 0, 1, 1], 0.4, seed=0)
+    assert int((~build_trials([0, 0, 1, 1], 0.5, seed=0).is_target).sum()) == 1
+
+
 # -- scoring ------------------------------------------------------------------------
 
 

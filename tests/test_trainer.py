@@ -261,6 +261,17 @@ def test_a_non_finite_metrics_cell_names_its_column(monkeypatch, term, column):
         train(tiny_dataset(), LossConfig(variant="dasa"), quick_settings())
 
 
+def test_a_cap_that_keeps_no_nontarget_fails_before_the_first_step(monkeypatch):
+    """The 3 eval target pairs at 0.1 nontargets each would keep none: the
+    trial list fails before any loss is evaluated."""
+    def loss(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "variant_loss", loss)
+    with pytest.raises(ValueError, match=r"^max_nontarget_per_target=0.1 times 3 target pairs"):
+        train(tiny_dataset(), LossConfig(), quick_settings(max_nontarget_per_target=0.1))
+
+
 def test_run_bookkeeping():
     ds = tiny_dataset(num_classes=3, spc=10)  # 8 train per class
     cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1, deferred_fraction=0.4)

@@ -37,8 +37,7 @@ from .metrics import (
     ScoreSet,
     TrialSet,
     build_trials,
-    compute_eer,
-    compute_min_dcf,
+    eer_and_min_dcf,
     format_metrics,
     score_trials,
 )

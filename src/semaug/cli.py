@@ -34,8 +34,8 @@ from .covariance import DegenerateCovarianceError, save_bank
 from .data import (FLOAT, SynthSpec, float_cells, generate, read_dataset, read_embeddings, write_csv,
                    write_dataset, write_embeddings)
 from .losses import LossConfig
-from .metrics import (DcfParams, compute_eer, compute_min_dcf, format_metrics, read_trials, score_trials,
-                      write_scores, write_trials)
+from .metrics import (DcfParams, eer_and_min_dcf, format_metrics, read_trials, score_trials, write_scores,
+                      write_trials)
 from .suites import BoundSettings, GradSettings, composed_gradcheck, family_verdicts, gradcheck_suite, jensen_suite
 from .trainer import TrainingDivergedError, save_metrics, save_model, train
 
@@ -85,6 +85,8 @@ def _resolve_config(args) -> dict:
 
 
 def _outdir(cfg: dict) -> str:
+    """Make the out directory.  Each command calls this just before its
+    first write, so a run stopped by an error before then leaves none."""
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     return out
@@ -101,9 +103,9 @@ def cmd_gen(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     ds = read_dataset(cfg["train.dataset"])
-    out = _outdir(cfg)
-    diag = os.path.join(out, "diagnostics.csv") if cfg["train.diagnostics"] else None
+    diag = os.path.join(_outdir(cfg), "diagnostics.csv") if cfg["train.diagnostics"] else None
     run = train(ds, build(LossConfig, cfg), to_train_settings(cfg, diagnostics_path=diag))
+    out = _outdir(cfg)
     save_metrics(os.path.join(out, "metrics.csv"), run.metrics)
     save_model(os.path.join(out, "model.csv"), run.embedder, run.head)
     save_bank(run.bank, os.path.join(out, "bank.csv"))
@@ -120,7 +122,6 @@ def cmd_compare(cfg: dict, args) -> int:
     variants = list(dict.fromkeys(settings.variants))
     if len(variants) < len(settings.variants):
         print("warning: duplicate variants removed", file=sys.stderr)
-    out = _outdir(cfg)
     rows = []
     for seed in settings.seeds:
         ds = generate(build(SynthSpec, cfg, seed=seed))
@@ -129,7 +130,7 @@ def cmd_compare(cfg: dict, args) -> int:
             run = train(ds, lc, to_train_settings(cfg, seed=seed))
             rows.append((v, lc.difficulty, lc.strength_mode, cfg["loss.lambda0"], seed,
                          run.final_eer, run.final_min_dcf))
-    path = os.path.join(out, "compare.csv")
+    path = os.path.join(_outdir(cfg), "compare.csv")
     write_csv(path, ["variant", "difficulty", "strength_mode", "lambda0", "seed", "eer", "min_dcf"],
               "%s,%s,%s," + FLOAT + ",%d," + float_cells(2), rows)
     print(path)
@@ -191,8 +192,7 @@ def cmd_score(cfg: dict, args) -> int:
     mat = np.array([embs[idx] for idx in order.tolist()])
     remapped = type(trials)(index_a=pos[:len(trials)], index_b=pos[len(trials):], is_target=trials.is_target)
     scores = score_trials(mat, remapped)
-    eer, _ = compute_eer(scores)
-    mdcf = compute_min_dcf(scores, build(DcfParams, cfg))
+    eer, _, mdcf = eer_and_min_dcf(scores, build(DcfParams, cfg))
     out = _outdir(cfg)
     write_scores(os.path.join(out, "scores.csv"), trials, scores)
     print(format_metrics(eer, mdcf))

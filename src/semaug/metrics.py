@@ -2,10 +2,11 @@
 
 The error rates follow the accept-when-score-at-or-above-threshold rule:
 FRR(t) is the fraction of target trials scoring below t, FAR(t) the
-fraction of nontarget trials scoring at or above t.  Both metrics sweep
-the same candidate thresholds: the sorted unique scores plus one sentinel
-below the minimum and one above the maximum, so the accept-all and
-reject-all policies are always part of the sweep.
+fraction of nontarget trials scoring at or above t.  EER and minDCF come
+from one sort of the scores: the candidate thresholds are the distinct
+scores plus one sentinel below the minimum and one above the maximum, so
+the accept-all and reject-all policies are always part of the sweep, and
+a running count of targets gives exact FRR and FAR at every candidate.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import CHUNK_ELEMENTS
 from .data import FLOAT, parse_rows, read_csv_rows, read_int_block, write_csv
 from .rng import philox_rng
 
@@ -99,59 +101,56 @@ def build_trials(labels, max_nontarget_per_target, seed) -> TrialSet:
 
 
 def score_trials(embeddings, trials: TrialSet) -> ScoreSet:
-    """Cosine score for every trial; embeddings indexed by trial indices."""
+    """Cosine score for every trial; embeddings indexed by trial indices.
+    Trials go in chunks whose two gathered (trials, F) blocks hold at most
+    :data:`CHUNK_ELEMENTS` elements together, so memory is flat in the trial count."""
     E = np.asarray(embeddings, dtype=float)
     norms = np.linalg.norm(E, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("zero-norm embedding row")
     U = E / norms[:, None]
-    scores = np.clip(np.sum(U[trials.index_a] * U[trials.index_b], axis=1), -1.0, 1.0)
-    return ScoreSet(scores=scores, is_target=trials.is_target.copy())
+    scores = np.empty(len(trials))
+    per = max(1, CHUNK_ELEMENTS // (2 * U.shape[1]))
+    for s in range(0, scores.size, per):
+        a, b = trials.index_a[s:s + per], trials.index_b[s:s + per]
+        scores[s:s + per] = np.einsum("ij,ij->i", U.take(a, axis=0), U.take(b, axis=0))
+    return ScoreSet(scores=np.clip(scores, -1.0, 1.0, out=scores), is_target=trials.is_target.copy())
 
 
-def _sweep(scoreset: ScoreSet):
-    """Candidate thresholds with exact-count FRR and FAR at each."""
-    t_scores = np.sort(scoreset.scores[scoreset.is_target])
-    n_scores = np.sort(scoreset.scores[~scoreset.is_target])
-    if t_scores.size == 0 or n_scores.size == 0:
-        raise ValueError("need at least one target and one nontarget trial")
-    uniq = np.unique(scoreset.scores)
-    cand = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
-    frr = np.searchsorted(t_scores, cand, side="left") / t_scores.size
-    far = (n_scores.size - np.searchsorted(n_scores, cand, side="left")) / n_scores.size
-    return cand, frr, far
-
-
-def compute_eer(scoreset: ScoreSet) -> tuple[float, float]:
-    """Equal error rate and its threshold.
+def eer_and_min_dcf(scoreset: ScoreSet, params: DcfParams | None = None) -> tuple[float, float, float]:
+    """Equal error rate, its threshold and minimum normalized detection cost.
 
     FAR - FRR is nonincreasing over the sweep, starting at +1 (accept all)
-    and ending at -1 (reject all); the crossing is located exactly when a
-    candidate hits it and linearly interpolated between the two adjacent
-    candidates otherwise.
+    and ending at -1 (reject all); the EER crossing is located exactly when
+    a candidate hits it and linearly interpolated between the two adjacent
+    candidates otherwise.  minDCF divides by the better trivial policy's
+    cost, so it never exceeds 1 (reject-all and accept-all are swept).
     """
-    cand, frr, far = _sweep(scoreset)
+    p = params if params is not None else DcfParams()
+    order = np.argsort(scoreset.scores)
+    s = scoreset.scores[order]
+    targets_before = np.concatenate([[0], np.cumsum(scoreset.is_target[order])])
+    n_t = int(targets_before[-1])
+    n_n = s.size - n_t
+    if n_t == 0 or n_n == 0:
+        raise ValueError("need at least one target and one nontarget trial")
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))  # first place of each distinct score
+    cand = np.concatenate([[s[0] - 1.0], s[starts], [s[-1] + 1.0]])
+    below = np.concatenate([[0], starts, [s.size]])  # scores below each candidate
+    t_below = targets_before[below]
+    frr = t_below / n_t
+    far = (n_n - (below - t_below)) / n_n
     d = far - frr
     k = int(np.argmax(d <= 0.0))  # first index at or past the crossing
     if d[k] == 0.0:
-        return float(frr[k]), float(cand[k])
-    alpha = d[k - 1] / (d[k - 1] - d[k])
-    eer = frr[k - 1] + alpha * (frr[k] - frr[k - 1])
-    threshold = cand[k - 1] + alpha * (cand[k] - cand[k - 1])
-    return float(eer), float(threshold)
-
-
-def compute_min_dcf(scoreset: ScoreSet, params: DcfParams | None = None) -> float:
-    """Minimum normalized detection cost over the threshold sweep.
-
-    Normalization divides by the better trivial policy's cost, so the
-    result never exceeds 1 (reject-all or accept-all is always swept).
-    """
-    p = params if params is not None else DcfParams()
-    cand, frr, far = _sweep(scoreset)
+        eer, threshold = frr[k], cand[k]
+    else:
+        alpha = d[k - 1] / (d[k - 1] - d[k])
+        eer = frr[k - 1] + alpha * (frr[k] - frr[k - 1])
+        threshold = cand[k - 1] + alpha * (cand[k] - cand[k - 1])
     norm = min(p.c_miss * p.p_target, p.c_fa * (1.0 - p.p_target))
     costs = (p.c_miss * p.p_target * frr + p.c_fa * (1.0 - p.p_target) * far) / norm
-    return float(costs.min())
+    return float(eer), float(threshold), float(costs.min())
 
 
 TRIALS_HEADER = ["index_a", "index_b", "is_target"]

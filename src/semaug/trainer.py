@@ -22,7 +22,7 @@ from .covariance import DIAGONAL, FULL, CovarianceBank
 from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, open_csv, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
 from .losses import AFFINE_VARIANTS, ClassifierHead, LossConfig, variant_loss
-from .metrics import DcfParams, build_trials, compute_eer, compute_min_dcf, score_trials
+from .metrics import DcfParams, build_trials, eer_and_min_dcf, score_trials
 from .rng import philox_rng
 
 
@@ -241,9 +241,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
             eval_embs = embedder.forward(X[eval_idx])[0]
             if not np.isfinite(eval_embs).all():
                 raise TrainingDivergedError(t, "eval embeddings")
-            scores = score_trials(eval_embs, trials)
-            eer, _ = compute_eer(scores)
-            mdcf = compute_min_dcf(scores, settings.dcf)
+            eer, _, mdcf = eer_and_min_dcf(score_trials(eval_embs, trials), settings.dcf)
             values = (ep_loss / n_train, ep_cos / n_train, ep_coef / n_train, ep_lam / n_train, eer, mdcf)
             for name, v in zip(METRICS_HEADER[1:], values):
                 if not math.isfinite(v):

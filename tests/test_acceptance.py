@@ -27,7 +27,7 @@ from semaug.losses import (
     lambda_schedule,
     softmax_ce,
 )
-from semaug.metrics import DcfParams, ScoreSet, compute_eer, compute_min_dcf
+from semaug.metrics import DcfParams, ScoreSet, eer_and_min_dcf
 from semaug.montecarlo import moment_identity_check
 from semaug.rng import philox_rng
 from semaug.suites import composed_gradcheck, gradcheck_suite, jensen_suite
@@ -254,15 +254,14 @@ def test_metric_sweep_equals_exhaustive_enumeration(capsys):
         labels = np.concatenate([np.ones(nt, bool), np.zeros(nn, bool)])
         ss = ScoreSet(scores=scores, is_target=labels)
 
-        eer, thr = compute_eer(ss)
+        eer, thr, mdcf = eer_and_min_dcf(ss, params)
         oe, ot = _exhaustive_eer(ss.scores, ss.is_target)
-        mdcf = compute_min_dcf(ss, params)
         om = _exhaustive_min_dcf(ss.scores, ss.is_target, params)
         all_equal &= eer == oe and thr == ot and mdcf == om
 
         mapped = ScoreSet(scores=2.0 * ss.scores + 1.0, is_target=ss.is_target)
-        all_invariant &= (compute_eer(mapped)[0] == eer
-                          and compute_min_dcf(mapped, params) == mdcf)
+        m_eer, _, m_dcf = eer_and_min_dcf(mapped, params)
+        all_invariant &= m_eer == eer and m_dcf == mdcf
     elapsed = time.perf_counter() - start
     ok = all_equal and all_invariant and elapsed < 30.0
     _report(capsys, 7, ok,

@@ -243,6 +243,19 @@ def test_a_failed_check_leaves_its_config_and_an_error_leaves_none(tmp_path, cap
     assert not (out / "train.config").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_run_that_fails_in_training_leaves_no_out_directory(tmp_path, capsys, command):
+    """The trial cap keeps no nontarget pair, so training fails in
+    build_trials before any output is written."""
+    extra = ["--set", f"train.dataset={run_gen(tmp_path) / 'dataset.csv'}"] if command == "train" else []
+    out = tmp_path / "out"
+    code = entry([command, "--out", str(out), *TINY_TRAIN, *extra,
+                  "--set", "eval.max_nontarget_per_target=0.0001"])
+    assert code == 2
+    assert "keeps no nontarget pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Seed 39 first draws loss/daam trial 29 with cos_y = 1 - 1.47e-5, where the
 # default stencil would straddle the difficulty clamp at 1; the suite redraws
 # that embedding (tests/test_suites.py checks the gradient at the original).

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semaug import metrics
 from semaug.metrics import (
     DcfParams,
     ScoreSet,
     TrialSet,
     build_trials,
-    compute_eer,
-    compute_min_dcf,
+    eer_and_min_dcf,
     format_metrics,
     read_trials,
     score_trials,
@@ -84,10 +84,12 @@ def test_sweep_equals_brute_force_on_random_scoresets():
     rng = philox_rng(501)
     for _ in range(80):
         ss = random_scoreset(rng)
-        eer, thr = compute_eer(ss)
+        eer, thr, mdcf = eer_and_min_dcf(ss)
         oe, ot = oracle_eer(ss.scores, ss.is_target)
         assert eer == oe and thr == ot
-        assert compute_min_dcf(ss) == oracle_min_dcf(ss.scores, ss.is_target)
+        assert mdcf == oracle_min_dcf(ss.scores, ss.is_target)
+        # the sweep sorts for itself: nontargets first gives the same triple
+        assert eer_and_min_dcf(ScoreSet(scores=ss.scores[::-1], is_target=ss.is_target[::-1])) == (eer, thr, mdcf)
 
 
 def test_min_dcf_matches_oracle_for_asymmetric_costs():
@@ -95,7 +97,7 @@ def test_min_dcf_matches_oracle_for_asymmetric_costs():
     p = DcfParams(p_target=0.05, c_miss=10.0, c_fa=1.0)
     for _ in range(30):
         ss = random_scoreset(rng)
-        assert compute_min_dcf(ss, p) == oracle_min_dcf(ss.scores, ss.is_target, p)
+        assert eer_and_min_dcf(ss, p)[2] == oracle_min_dcf(ss.scores, ss.is_target, p)
 
 
 # -- hand cases ----------------------------------------------------------------
@@ -104,22 +106,22 @@ def test_min_dcf_matches_oracle_for_asymmetric_costs():
 def test_perfectly_separated_scores():
     ss = ScoreSet(scores=np.array([0.9, 0.8, 0.1, 0.2]),
                   is_target=np.array([True, True, False, False]))
-    eer, thr = compute_eer(ss)
+    eer, thr, mdcf = eer_and_min_dcf(ss)
     assert eer == 0.0
     assert 0.2 < thr <= 0.8
-    assert compute_min_dcf(ss) == 0.0
+    assert mdcf == 0.0
 
 
 def test_perfectly_reversed_scores():
     ss = ScoreSet(scores=np.array([0.1, 0.9]), is_target=np.array([True, False]))
-    eer, thr = compute_eer(ss)
+    eer, thr, _ = eer_and_min_dcf(ss)
     assert eer == 1.0
 
 
 def test_identical_score_distributions_sit_at_half():
     ss = ScoreSet(scores=np.array([0.1, 0.5, 0.1, 0.5]),
                   is_target=np.array([True, True, False, False]))
-    eer, _ = compute_eer(ss)
+    eer, _, _ = eer_and_min_dcf(ss)
     assert eer == 0.5
 
 
@@ -128,7 +130,7 @@ def test_interpolated_crossing_hand_case():
     # between candidates 0.5 and 0.6 at one third
     ss = ScoreSet(scores=np.array([0.2, 0.6, 0.8, 0.4, 0.5]),
                   is_target=np.array([True, True, True, False, False]))
-    eer, thr = compute_eer(ss)
+    eer, thr, _ = eer_and_min_dcf(ss)
     assert eer == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert thr == pytest.approx(0.5 + (1.0 / 3.0) * 0.1, abs=1e-12)
 
@@ -137,7 +139,7 @@ def test_random_scores_give_chance_level_eer():
     rng = philox_rng(503)
     scores = rng.standard_normal(4000)
     labels = np.arange(4000) % 2 == 0
-    eer, _ = compute_eer(ScoreSet(scores=scores, is_target=labels))
+    eer, _, _ = eer_and_min_dcf(ScoreSet(scores=scores, is_target=labels))
     assert 0.45 <= eer <= 0.55
 
 
@@ -145,7 +147,7 @@ def test_min_dcf_never_exceeds_one():
     rng = philox_rng(504)
     for _ in range(40):
         ss = random_scoreset(rng)
-        assert 0.0 <= compute_min_dcf(ss) <= 1.0
+        assert 0.0 <= eer_and_min_dcf(ss)[2] <= 1.0
 
 
 # -- invariances ------------------------------------------------------------------
@@ -155,13 +157,12 @@ def test_metrics_are_invariant_under_monotone_transforms():
     rng = philox_rng(505)
     for _ in range(25):
         ss = random_scoreset(rng)
-        base_eer, _ = compute_eer(ss)
-        base_dcf = compute_min_dcf(ss)
+        base_eer, _, base_dcf = eer_and_min_dcf(ss)
         for transform in (lambda s: 2.0 * s + 1.0, lambda s: s ** 3):
             tt = ScoreSet(scores=transform(ss.scores), is_target=ss.is_target)
-            eer, _ = compute_eer(tt)
+            eer, _, mdcf = eer_and_min_dcf(tt)
             assert eer == base_eer
-            assert compute_min_dcf(tt) == base_dcf
+            assert mdcf == base_dcf
 
 
 def test_eer_is_symmetric_under_score_negation_and_label_swap():
@@ -170,8 +171,8 @@ def test_eer_is_symmetric_under_score_negation_and_label_swap():
         nt, nn = int(rng.integers(2, 40)), int(rng.integers(2, 40))
         scores = rng.standard_normal(nt + nn)  # continuous: ties are absent
         labels = np.concatenate([np.ones(nt, bool), np.zeros(nn, bool)])
-        a, _ = compute_eer(ScoreSet(scores=scores, is_target=labels))
-        b, _ = compute_eer(ScoreSet(scores=-scores, is_target=~labels))
+        a, _, _ = eer_and_min_dcf(ScoreSet(scores=scores, is_target=labels))
+        b, _, _ = eer_and_min_dcf(ScoreSet(scores=-scores, is_target=~labels))
         assert b == pytest.approx(a, abs=1e-12)
 
 
@@ -183,9 +184,9 @@ def test_error_rates_stay_in_the_unit_interval(data):
     scores = data.draw(st.lists(vals, min_size=nt + nn, max_size=nt + nn))
     labels = [True] * nt + [False] * nn
     ss = ScoreSet(scores=np.array(scores, dtype=float), is_target=np.array(labels))
-    eer, _ = compute_eer(ss)
+    eer, _, mdcf = eer_and_min_dcf(ss)
     assert 0.0 <= eer <= 1.0
-    assert 0.0 <= compute_min_dcf(ss) <= 1.0
+    assert 0.0 <= mdcf <= 1.0
 
 
 # -- trial building -----------------------------------------------------------------
@@ -274,6 +275,22 @@ def test_score_trials_matches_pairwise_cosine():
     np.testing.assert_array_equal(ss.is_target, trials.is_target)
 
 
+def test_score_trials_is_the_same_across_chunks(monkeypatch):
+    """A budget of 4 rows at F = 5 splits the 253 trials into 64 chunks,
+    the last one ragged: every score equals the one-chunk score bit for bit
+    and its one-pair cosine within 1e-12."""
+    rng = philox_rng(509)
+    E = rng.standard_normal((23, 5))
+    trials = build_trials((np.arange(23) % 4).tolist(), float("inf"), seed=2)
+    whole = score_trials(E, trials)
+    monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", 2 * 4 * 5 + 1)
+    chunked = score_trials(E, trials)
+    np.testing.assert_array_equal(chunked.scores, whole.scores)
+    for k in range(len(trials)):
+        want = cosine_score(E[trials.index_a[k]], E[trials.index_b[k]])
+        assert chunked.scores[k] == pytest.approx(want, abs=1e-12)
+
+
 def test_score_trials_rejects_zero_rows():
     E = np.zeros((4, 3))
     E[0, 0] = 1.0
@@ -301,7 +318,7 @@ def test_container_validation():
 
 def test_eer_needs_both_trial_kinds():
     with pytest.raises(ValueError):
-        compute_eer(ScoreSet(scores=np.array([0.5]), is_target=np.array([True])))
+        eer_and_min_dcf(ScoreSet(scores=np.array([0.5]), is_target=np.array([True])))
 
 
 def test_trials_round_trip(tmp_path):

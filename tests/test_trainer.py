@@ -13,7 +13,7 @@ from semaug.covariance import CovarianceBank
 from semaug.data import EVAL, TRAIN, SynthSpec, generate
 from semaug.embedder import TinyEmbedder
 from semaug.losses import ClassifierHead, LossConfig, variant_loss
-from semaug.metrics import build_trials, compute_eer, compute_min_dcf, score_trials
+from semaug.metrics import build_trials, eer_and_min_dcf, score_trials
 from semaug.rng import philox_rng
 from semaug.trainer import (
     SgdNesterov,
@@ -139,8 +139,8 @@ def per_sample_train(dataset, loss_config, settings):
             opt.step([g * inv for g in grads], t)
             t += 1
         embs = np.array([embedder.forward(X[i])[0][0] for i in eval_idx])
-        scores = score_trials(embs, trials)
-        metrics.append([v / n_train for v in sums] + [compute_eer(scores)[0], compute_min_dcf(scores, settings.dcf)])
+        eer, _, mdcf = eer_and_min_dcf(score_trials(embs, trials), settings.dcf)
+        metrics.append([v / n_train for v in sums] + [eer, mdcf])
     return np.array(metrics), embedder, head, bank, diag
 
 
@@ -254,9 +254,9 @@ def test_a_non_finite_metrics_cell_names_its_column(monkeypatch, term, column):
 
     monkeypatch.setattr(trainer, "variant_loss", loss)
     if term == "eer":
-        monkeypatch.setattr(trainer, "compute_eer", lambda scores: (math.nan, 0.0))
+        monkeypatch.setattr(trainer, "eer_and_min_dcf", lambda scores, params: (math.nan, 0.0, 0.5))
     if term == "min_dcf":
-        monkeypatch.setattr(trainer, "compute_min_dcf", lambda scores, params: math.nan)
+        monkeypatch.setattr(trainer, "eer_and_min_dcf", lambda scores, params: (0.5, 0.0, math.nan))
     with pytest.raises(TrainingDivergedError, match=rf"^non-finite {column} at iteration 3$"):
         train(tiny_dataset(), LossConfig(variant="dasa"), quick_settings())
 
@@ -284,9 +284,8 @@ def test_run_bookkeeping():
     assert run.final_min_dcf == run.metrics[-1].min_dcf
     assert run.eval_embeddings.shape == (run.eval_indices.size, 4)
     # metrics recompute exactly from the returned artifacts
-    from semaug.metrics import compute_eer, score_trials
-    eer, _ = compute_eer(score_trials(run.eval_embeddings, run.trials))
-    assert eer == run.final_eer
+    eer, _, mdcf = eer_and_min_dcf(score_trials(run.eval_embeddings, run.trials))
+    assert (eer, mdcf) == (run.final_eer, run.final_min_dcf)
 
 
 def test_bank_sees_every_sample_once_per_epoch():

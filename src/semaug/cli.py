@@ -31,8 +31,8 @@ from .config import (
     write_config,
 )
 from .covariance import DegenerateCovarianceError, save_bank
-from .data import (FLOAT, SynthSpec, float_cells, generate, read_dataset, read_embeddings, write_csv,
-                   write_dataset, write_embeddings)
+from .data import (FLOAT, SynthSpec, float_cells, generate, read_csv_rows, read_dataset, read_embeddings,
+                   write_csv, write_dataset, write_embeddings)
 from .losses import LossConfig
 from .metrics import (DcfParams, eer_and_min_dcf, format_metrics, read_trials, score_trials, write_scores,
                       write_trials)
@@ -183,6 +183,9 @@ def cmd_grad_check(cfg: dict, args) -> int:
 def cmd_score(cfg: dict, args) -> int:
     embs = read_embeddings(args.embeddings)
     trials = read_trials(args.trials)
+    for kind, present in (("target", trials.is_target), ("nontarget", ~trials.is_target)):
+        if not present.any():
+            raise ValueError(f"{args.trials}: line {read_csv_rows(args.trials)[1][-1]}: no {kind} trial")
     order = np.array(sorted(embs), dtype=np.int64)
     wanted = np.concatenate([trials.index_a, trials.index_b])
     pos = np.searchsorted(order, wanted)

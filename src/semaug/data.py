@@ -355,9 +355,10 @@ def write_embeddings(path, indices, vectors) -> None:
 def read_embeddings(path) -> dict[int, np.ndarray]:
     """Read an embedding CSV written by :func:`write_embeddings`.
 
-    Every defect, including a non-finite value, an index outside
-    [0, 2**63) or a repeated index, raises ``ValueError("<path>: line N: ...")``.
-    As in :func:`read_dataset`, the value block is cast and checked at once.
+    Every defect, including a non-finite value, a row of norm below 1e-12
+    (which scoring cannot normalize), an index outside [0, 2**63) or a
+    repeated index, raises ``ValueError("<path>: line N: ...")``.  As in
+    :func:`read_dataset`, the value block is cast and checked at once.
     """
     rows, lines = read_csv_rows(path)
     header = rows[0]
@@ -378,6 +379,8 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
                 seen.add(i)
         if not np.isfinite(E).all():
             raise ValueError("non-finite value")
+        if (np.linalg.norm(E, axis=1) < 1e-12).any():
+            raise ValueError("zero-norm embedding")
         return dict(zip(indices, E))
 
     return parse_rows(path, rows, lines, len(header), parse)

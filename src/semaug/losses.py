@@ -204,6 +204,13 @@ def lambda_schedule(t: float, config: LossConfig, coef: float | None = None) -> 
     return r * coef
 
 
+def reads_bank(config: LossConfig, t: float) -> bool:
+    """Whether the loss ``config`` names may read the covariance bank at
+    iteration t: only ``isda`` and ``dasa`` read it, and only for rows whose
+    strength is nonzero, which takes a nonzero schedule."""
+    return config.variant in ("isda", "dasa") and lambda_schedule(t, config, 1.0) > 0
+
+
 def _diag_cos(w_y: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Cosine between each target weight row and its embedding as a (B, 1)
     column, for diagnostics only (0 where either is zero).  ``np.vecdot``

@@ -4,9 +4,14 @@ Training is single-threaded and fully deterministic for a given seed:
 parameter init, per-epoch shuffling, and trial building each use their
 own counter-based RNG stream.  Each batch makes one embedder forward, one
 loss call over the batch's rows, computed against the covariance bank as
-of the batch start, and one backward; the bank then merges the batch's
-embeddings and the optimizer steps on the batch-mean gradient.  The
-per-epoch evaluation embeds every eval row in one forward.
+of the batch start, and one backward; the optimizer then steps on the
+batch-mean gradient.  Every trained parameter is a view of one flat
+vector, so a step is one vector update.  The embeddings of the batches
+the bank may take wait in a list that the bank merges in one call (the
+pairwise update makes one merge of many batches equal to their merges
+one by one, up to rounding), just before a step whose loss may read the
+bank and at the end of every epoch.  The per-epoch evaluation embeds
+every eval row in one forward.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .covariance import DIAGONAL, FULL, CovarianceBank
 from .data import FLOAT, Dataset, EVAL, TRAIN, float_cells, open_csv, read_csv_rows, write_csv
 from .embedder import TinyEmbedder
-from .losses import AFFINE_VARIANTS, ClassifierHead, LossConfig, variant_loss
+from .losses import AFFINE_VARIANTS, ClassifierHead, LossConfig, reads_bank, variant_loss
 from .metrics import DcfParams, build_trials, eer_and_min_dcf, score_trials
 from .rng import philox_rng
 
@@ -147,11 +152,23 @@ class SgdNesterov:
         lr = self.lr_at(t)
         mu = self.momentum
         for p, v, g in zip(self.params, self.velocity, grads):
-            g = g + self.weight_decay * p
+            step = self.weight_decay * p
+            step += g
+            step *= lr  # lr*g, formed once
             v *= mu
-            v -= lr * g
+            v -= step
             p += mu * v
-            p -= lr * g
+            p -= step
+
+
+def _views(flat: np.ndarray, shapes: list) -> list:
+    """Consecutive views of the 1-D ``flat``, one of each shape."""
+    out, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[at:at + n].reshape(shape))
+        at += n
+    return out
 
 
 def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) -> TrainRun:
@@ -174,16 +191,27 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     F = settings.embed_dim
     init_rng = philox_rng(settings.seed, 1)
     embedder = TinyEmbedder([dataset.dim] + list(settings.hidden) + [F], init_rng)
-    head_w = init_rng.standard_normal((C, F)) / math.sqrt(F)
-    head = ClassifierHead(weights=head_w,
+    head = ClassifierHead(weights=init_rng.standard_normal((C, F)) / math.sqrt(F),
                           biases=np.zeros(C) if cfg.variant in AFFINE_VARIANTS else None,
                           scale=settings.scale, margin=settings.margin)
     bank = CovarianceBank(C, F, settings.cov_mode)
 
-    params = embedder.parameters() + [head.weights]
+    # The embedder's weights and biases and the head's weights (and biases)
+    # become views of one flat vector, and their gradients views of another,
+    # in the order backward gives them.  Each step fills the gradient vector
+    # in place: a new one per step, at the paper shape, raised peak RSS.
+    params = embedder.parameters() + [head.weights] + ([] if head.biases is None else [head.biases])
+    flat = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(flat)
+    shapes = [p.shape for p in params]
+    del params  # the views below replace them
+    views, grad_views = _views(flat, shapes), _views(grad, shapes)
+    layers = len(embedder.weights)
+    embedder.weights, embedder.biases = views[:2 * layers:2], views[1:2 * layers:2]
+    head.weights = views[2 * layers]
     if head.biases is not None:
-        params.append(head.biases)
-    opt = SgdNesterov(params, settings.lr_init, settings.lr_final, total_iters,
+        head.biases = views[-1]
+    opt = SgdNesterov([flat], settings.lr_init, settings.lr_final, total_iters,
                       settings.momentum, settings.weight_decay)
 
     shuffle_rng = philox_rng(settings.seed, 2)
@@ -194,6 +222,13 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
         if not settings.stats_after_deferred_only:
             return True
         return t / total_iters >= cfg.deferred_fraction
+
+    pending = []  # (embeddings, labels) of the stats-allowed batches the bank has not merged
+
+    def merge_pending() -> None:
+        if pending:
+            bank.update(np.concatenate([f for f, _ in pending]), np.concatenate([lab for _, lab in pending]))
+            pending.clear()
 
     metrics = []
     eval_embs = None
@@ -213,6 +248,8 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 # embedding before any loss sees them
                 if not (np.isfinite(cache.prenorm).all() and np.isfinite(f).all()):
                     raise TrainingDivergedError(t, "embedding")
+                if reads_bank(cfg, t):
+                    merge_pending()
                 out = variant_loss(f, head, bank, labels, cfg, t)
                 if not np.isfinite(out.value).all():
                     raise TrainingDivergedError(t)
@@ -230,13 +267,16 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                 if head.biases is not None:
                     grads.append(out.grad_biases)
                 if stats_allowed(t):
-                    bank.update(f, labels)
-                inv = 1.0 / len(batch)
-                opt.step([g * inv for g in grads], t)
+                    pending.append((f, labels))
+                for view, g in zip(grad_views, grads):
+                    view[...] = g
+                grad *= 1.0 / len(batch)
+                opt.step([grad], t)
                 t += 1
+            merge_pending()  # the list holds at most one epoch of embeddings
 
             # a blow-up in the epoch's last step shows first here
-            if not all(np.isfinite(p).all() for p in params):
+            if not np.isfinite(flat).all():
                 raise TrainingDivergedError(t, "parameters")
             eval_embs = embedder.forward(X[eval_idx])[0]
             if not np.isfinite(eval_embs).all():

@@ -304,6 +304,19 @@ def test_score_reports_unknown_indices(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path / 'trials.csv'}: indices missing from embeddings: [9, 12]\n"
 
 
+@pytest.mark.parametrize("kind,is_target", [("target", [False, False]), ("nontarget", [True, True])])
+def test_score_needs_a_target_and_a_nontarget_trial(tmp_path, capsys, kind, is_target):
+    write_embeddings(tmp_path / "emb.csv", [0, 1, 2], np.eye(3))
+    write_trials(tmp_path / "trials.csv", TrialSet(index_a=np.array([0, 0]), index_b=np.array([1, 2]),
+                                                   is_target=np.array(is_target)))
+    code = entry(["score", "--out", str(tmp_path / "s"),
+                  str(tmp_path / "emb.csv"), str(tmp_path / "trials.csv")])
+    assert code == 2
+    # the line after the last row, as for a file with no data rows
+    assert capsys.readouterr().err == f"error: {tmp_path / 'trials.csv'}: line 4: no {kind} trial\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_bad_overrides_exit_with_usage_error(tmp_path, capsys):
     assert entry(["gen", "--out", str(tmp_path / "g"), "--set", "no.such.key=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err

@@ -201,3 +201,7 @@ def test_embeddings_file_errors(tmp_path):
     path.write_text("index,e0\n")
     with pytest.raises(ValueError, match="no data"):
         read_embeddings(path)
+    # scoring cannot normalize a row of norm below 1e-12: the reader names it
+    path.write_text("index,e0,e1\n0,1.0,0\n1,1e-13,0\n2,0,0\n")
+    with pytest.raises(ValueError, match=r"emb\.csv: line 3: zero-norm embedding$"):
+        read_embeddings(path)

@@ -70,6 +70,22 @@ def test_update_rule_matches_the_stated_recurrence():
         np.testing.assert_array_equal(p, theta)
 
 
+def test_one_flat_vector_steps_like_its_arrays():
+    # momentum and weight decay on, the lr decaying: every step bit for bit
+    rng = np.random.default_rng(5)
+    shapes = [(4, 3), (4,), (2, 4), (2,)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    per_array = SgdNesterov(arrays, 0.05, 1e-3, total_iters=6, momentum=0.9, weight_decay=1e-2)
+    one = SgdNesterov([flat], 0.05, 1e-3, total_iters=6, momentum=0.9, weight_decay=1e-2)
+    for t in range(6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        per_array.step(grads, t)
+        one.step([np.concatenate([g.ravel() for g in grads])], t)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        assert np.array_equal(one.velocity[0], np.concatenate([v.ravel() for v in per_array.velocity]))
+
+
 # -- the training loop ----------------------------------------------------------
 
 
@@ -151,6 +167,8 @@ def rel_gap(got, want):
 
 @pytest.mark.parametrize("variant,difficulty,strength,cov_mode", [
     ("softmax", "none", "constant", "full"),
+    ("isda", "none", "constant", "full"),
+    ("am", "none", "constant", "full"),
     ("daam", "DA", "constant", "full"),
     ("dasa", "DA", "constant", "full"),
     ("dasa", "DY", "DA", "diagonal"),
@@ -164,7 +182,7 @@ def test_batched_training_matches_the_per_sample_loop(tmp_path, variant, difficu
     run = train(ds, cfg, st)
     metrics, embedder, head, bank, diag = per_sample_train(ds, cfg, st)
     assert run.total_iters * st.batch_size > ds.indices(TRAIN).size * st.epochs  # a ragged last batch
-    assert (metrics[:, 3] > 0).any() or variant != "dasa"  # the run crosses the deferred fraction
+    assert (metrics[:, 3] > 0).any() or variant not in ("isda", "dasa")  # the run crosses the deferred fraction
 
     got = np.array([[r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf] for r in run.metrics])
     for col in range(got.shape[1]):
@@ -299,6 +317,49 @@ def test_bank_sees_every_sample_once_per_epoch():
                                           stats_after_deferred_only=True))
     total = sum(gated.bank.stats[c].count for c in range(3))
     assert total == 2 * 24  # only the second half of the run accumulates
+
+
+@pytest.mark.parametrize("variant", ["isda", "dasa"])
+@pytest.mark.parametrize("after_deferred_only", [False, True])
+def test_a_loss_that_reads_the_bank_sees_every_earlier_step(monkeypatch, variant, after_deferred_only):
+    ds = tiny_dataset(num_classes=3, spc=10)  # 24 train rows: batches of 5 leave a ragged 4
+    cfg = LossConfig(variant=variant, difficulty="DA", strength_mode="DA", lambda0=0.1, deferred_fraction=0.4)
+    st = quick_settings(epochs=3, batch_size=5, stats_after_deferred_only=after_deferred_only)
+    total_iters = 3 * math.ceil(24 / 5)
+    steps, reads = [], []
+
+    def loss(f, head, bank, labels, config, t):
+        out = variant_loss(f, head, bank, labels, config, t)
+        if (out.per_sample_terms["lambda"] != 0).any():
+            allowed = [rows for s, rows in steps if not after_deferred_only or s / total_iters >= 0.4]
+            assert bank.count.sum() == sum(allowed), t
+            reads.append(t)
+        steps.append((t, len(labels)))
+        return out
+
+    monkeypatch.setattr(trainer, "variant_loss", loss)
+    run = train(ds, cfg, st)
+    assert run.total_iters == total_iters == len(steps)
+    assert reads == list(range(math.ceil(0.4 * total_iters), total_iters))
+
+
+@pytest.mark.parametrize("variant,deferred_fraction,calls", [
+    ("softmax", 0.4, "epochs"), ("am", 0.4, "epochs"), ("daam", 0.4, "epochs"), ("dasa", 0.0, "steps")])
+def test_the_bank_merges_each_epoch_and_before_each_step_that_reads_it(monkeypatch, variant, deferred_fraction,
+                                                                       calls):
+    merges = []
+    update = CovarianceBank.update
+
+    def counted(bank, embedding, label):
+        merges.append(len(label))
+        return update(bank, embedding, label)
+
+    monkeypatch.setattr(CovarianceBank, "update", counted)
+    ds = tiny_dataset(num_classes=3, spc=10)
+    run = train(ds, LossConfig(variant=variant, lambda0=0.1, deferred_fraction=deferred_fraction),
+                quick_settings(epochs=3, batch_size=5))
+    assert len(merges) == (3 if calls == "epochs" else run.total_iters)
+    assert sum(merges) == 3 * 24
 
 
 def test_strength_mode_is_coerced_for_non_dasa_variants():

@@ -214,17 +214,21 @@ COMMANDS = {
 
 def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _resolve_config(args)
-        code = COMMANDS[args.command](cfg, args)  # 0, or 3 for a failed check
-        write_config(os.path.join(cfg["out"], args.command.replace("-", "_") + ".config"), cfg)
-        return code
-    except (TrainingDivergedError, DegenerateCovarianceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Floating-point warnings are silenced: every quantity that matters is
+    # checked for finiteness where it is made, and the exit-3 message names
+    # it, so a warning would only print a stray source line before it.
+    with np.errstate(all="ignore"):
+        try:
+            cfg = _resolve_config(args)
+            code = COMMANDS[args.command](cfg, args)  # 0, or 3 for a failed check
+            write_config(os.path.join(cfg["out"], args.command.replace("-", "_") + ".config"), cfg)
+            return code
+        except (TrainingDivergedError, DegenerateCovarianceError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except (ConfigError, ValueError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

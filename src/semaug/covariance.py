@@ -52,6 +52,34 @@ class ClassStats:
 CHUNK_ELEMENTS = 1 << 16
 
 
+def checked_batch(embedding, label, dim: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings as (B, dim) floats and labels as (B,) integers, checked
+    by the one rule the bank and every loss share: a 1-D embedding with a
+    scalar Python or numpy integer label (a bool is none) is a batch of
+    one; a batch is not empty, its embeddings are finite and its labels
+    lie in [0, num_classes).  A batch that breaks the rule raises
+    ValueError before anything reads it."""
+    f = np.asarray(embedding, dtype=float)
+    if f.ndim == 1:
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"label {label!r} is not an integer")
+        f, label = f[None, :], [label]
+    labels = np.asarray(label)
+    if f.ndim != 2 or f.shape[1] != dim:
+        raise ValueError(f"embedding has shape {np.shape(embedding)}, expected ({dim},) or (B, {dim})")
+    if labels.shape != f.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels have shape {labels.shape} and dtype {labels.dtype}, "
+                         f"expected integers of shape {f.shape[:1]}")
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    if not np.isfinite(f).all():
+        raise ValueError("non-finite embedding")
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range [0, {num_classes})")
+    return f, labels
+
+
 def _mapped_zeros(shape: tuple) -> np.ndarray:
     """A float64 zero array in an anonymous memory map of its own.
 
@@ -149,18 +177,7 @@ class CovarianceBank:
         overfill the budget: there the gather and scatter of K blocks cost
         more than one in-place merge per class.
         """
-        x = np.asarray(embedding, dtype=float)
-        labels = np.asarray(label)
-        if x.ndim == 1:
-            x, labels = x[None, :], labels.reshape(-1)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"embedding has shape {np.shape(embedding)}, expected ({self.dim},) or (B, {self.dim})")
-        if labels.shape != x.shape[:1] or labels.dtype.kind not in "iu":
-            raise ValueError(f"labels have shape {labels.shape} and dtype {labels.dtype}, "
-                             f"expected integers of shape {x.shape[:1]}")
-        bad = (labels < 0) | (labels >= self.num_classes)
-        if bad.any():
-            raise ValueError(f"label {labels[bad][0]} out of range [0, {self.num_classes})")
+        x, labels = checked_batch(embedding, label, self.dim, self.num_classes)
         # the classes present, their batch counts k and batch means m, with
         # the rows of class i contiguous in batch order from starts[i]
         k = np.bincount(labels, minlength=self.num_classes)

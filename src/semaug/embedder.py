@@ -25,10 +25,8 @@ class ForwardCache:
     """What ``backward`` needs from ``forward``, one row per batch row."""
 
     x: np.ndarray         # (B, d_in)
-    pre: list             # preactivations of hidden layers, (B, hidden)
-    hidden: list          # rectified hidden outputs, (B, hidden)
-    v: np.ndarray         # final linear output, before normalization, (B, F)
-    prenorm: np.ndarray   # (B,) norms of v
+    hidden: list          # rectified hidden outputs, (B, hidden); > 0 where the unit is on
+    prenorm: np.ndarray   # (B,) norms of the final linear output, before normalization
     f: np.ndarray         # (B, F)
     fallback: np.ndarray  # (B,) bool
 
@@ -83,11 +81,9 @@ class TinyEmbedder:
         if not np.isfinite(h).all():
             raise ValueError("non-finite input")
         x = h  # the cache keeps the batch of one
-        pre, hidden = [], []
+        hidden = []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = h @ W.T + b
-            h = np.maximum(a, 0.0)
-            pre.append(a)
+            h = np.maximum(h @ W.T + b, 0.0)
             hidden.append(h)
         v = h @ self.weights[-1].T + self.biases[-1]
         n = np.sqrt(np.vecdot(v, v))  # per row the same BLAS dot as np.linalg.norm
@@ -95,7 +91,7 @@ class TinyEmbedder:
         self.fallback_count += int(np.count_nonzero(dead))
         f = v / np.where(dead, 1.0, n)[:, None]
         f[dead] = np.eye(1, self.dim_out)[0]
-        return f, ForwardCache(x=x, pre=pre, hidden=hidden, v=v, prenorm=n, f=f, fallback=dead)
+        return f, ForwardCache(x=x, hidden=hidden, prenorm=n, f=f, fallback=dead)
 
     def backward(self, cache: ForwardCache, grad_f) -> list[tuple[np.ndarray, np.ndarray]]:
         """Parameter gradients for an upstream dL/df, one (dW, db) pair per
@@ -113,5 +109,5 @@ class TinyEmbedder:
         for layer in range(len(self.weights) - 1, -1, -1):
             grads[layer] = (delta.T @ inputs[layer], delta.sum(axis=0))
             if layer > 0:
-                delta = (delta @ self.weights[layer]) * (cache.pre[layer - 1] > 0.0)
+                delta = (delta @ self.weights[layer]) * (cache.hidden[layer - 1] > 0.0)
         return grads

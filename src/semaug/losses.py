@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank, forms_and_products
+from .covariance import CHUNK_ELEMENTS, ClassStats, CovarianceBank, checked_batch, forms_and_products
 
 VARIANTS = ("softmax", "isda", "am", "daam", "dasa")
 AFFINE_VARIANTS = ("softmax", "isda")  # u = W f + b with biases; the rest are cosine
@@ -97,6 +97,9 @@ class LossConfig:
     Only ``daam`` and ``dasa`` weigh by difficulty and only ``dasa``
     schedules a dynamic strength, so other variants read ``difficulty =
     "none"`` and ``strength_mode = "constant"`` whatever they were given.
+    ``lambda0`` is read only at a constant strength, by ``isda`` and by
+    ``dasa`` with ``strength_mode = "constant"``: the default ``dasa``
+    (``DA``) ignores it.
     """
 
     variant: str = "dasa"
@@ -225,33 +228,6 @@ def _check_finite(*arrays) -> None:
             raise ValueError("non-finite values in loss inputs")
 
 
-def _checked_batch(embedding, label, head: ClassifierHead) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings as (B, F) and labels as (B,); a 1-D embedding with a
-    scalar label is a batch of one."""
-    f = np.asarray(embedding, dtype=float)
-    C, F = head.weights.shape
-    if f.ndim == 1:
-        if f.shape != (F,):
-            raise ValueError(f"embedding has shape {f.shape}, expected ({F},)")
-        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-            raise ValueError(f"label {label!r} is not an integer")
-        if not 0 <= label < C:
-            raise ValueError(f"label {label} out of range")
-        return f[None, :], np.array([label])
-    labels = np.asarray(label)
-    if f.ndim != 2 or f.shape[1] != F:
-        raise ValueError(f"embedding has shape {f.shape}, expected ({F},) or (B, {F})")
-    if labels.shape != f.shape[:1] or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels have shape {labels.shape} and dtype {labels.dtype}, "
-                         f"expected integers of shape {f.shape[:1]}")
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    bad = (labels < 0) | (labels >= C)
-    if bad.any():
-        raise ValueError(f"label {labels[bad][0]} out of range")
-    return f, labels
-
-
 def _normalized_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt((W * W).sum(axis=1))
     if (norms < 1e-12).any():
@@ -348,9 +324,9 @@ def _loss(
     distinct labels of the rows with lam != 0 in chunks (see
     :func:`_augment`), so its memory stays flat in the class count.
     """
-    f, labels = _checked_batch(embedding, label, head)
+    f, labels = checked_batch(embedding, label, head.dim, head.num_classes)
     b = None if cosine else head.biases
-    _check_finite(f, head.weights, b)
+    _check_finite(head.weights, b)
     if cosine:
         fnorm = np.sqrt(np.vecdot(f, f))
         off = np.abs(fnorm - 1.0) > 1e-3

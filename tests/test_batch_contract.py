@@ -91,6 +91,55 @@ def test_a_loss_rejects_a_label_that_is_not_an_integer(name, label):
         LOSSES[name](f, label, affine, cosine, bank, False)
 
 
+# The bank and every loss check a batch by one rule: each bad batch gives
+# one message, whichever of them reads it.
+CALLERS = {"CovarianceBank.update": lambda f, y, aff, cos, bank, vo: bank.update(f, y), **LOSSES}
+
+_TWO = np.array([[1.0, 2.0, 0.5, -1.0], [0.3, -0.2, 1.0, 0.4]])
+BAD_BATCHES = {
+    "bool label": (_TWO[0], True, "label True is not an integer"),
+    "float label": (_TWO[0], 2.0, "label 2.0 is not an integer"),
+    "0-d array label": (_TWO[0], np.array(LABEL), f"label array({LABEL}) is not an integer"),
+    "wide row": (np.ones(F + 1), LABEL, f"embedding has shape ({F + 1},), expected ({F},) or (B, {F})"),
+    "wide batch": (np.ones((2, F + 1)), np.array([0, 1]),
+                   f"embedding has shape (2, {F + 1}), expected ({F},) or (B, {F})"),
+    "label count": (_TWO, np.array([0, 1, 2]),
+                    "labels have shape (3,) and dtype int64, expected integers of shape (2,)"),
+    "label dtype": (_TWO, np.array([0.0, 1.0]),
+                    "labels have shape (2,) and dtype float64, expected integers of shape (2,)"),
+    "empty batch": (np.zeros((0, F)), np.zeros(0, dtype=np.int64), "empty batch"),
+    "nan row": (np.vstack([_TWO[0], np.full(F, np.nan)]), np.array([0, 1]), "non-finite embedding"),
+    "inf row": (np.vstack([_TWO[0], [np.inf, 0.0, 0.0, 0.0]]), np.array([0, 1]), "non-finite embedding"),
+    "label above range": (_TWO[0], C, f"label {C} out of range [0, {C})"),
+    "negative label": (_TWO, np.array([1, -1]), f"label -1 out of range [0, {C})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_a_bad_batch_gets_one_message_from_every_caller(caller, case):
+    affine, cosine, bank, _ = _setup(FULL)
+    before = [a.copy() for a in (bank.count, bank.mean, bank.cov)]
+    embedding, label, message = BAD_BATCHES[case]
+    with pytest.raises(ValueError) as info:
+        CALLERS[caller](embedding, label, affine, cosine, bank, False)
+    assert str(info.value) == message
+    for old, new in zip(before, (bank.count, bank.mean, bank.cov)):
+        np.testing.assert_array_equal(new, old, strict=True)  # a rejected batch changes nothing
+
+
+@pytest.mark.parametrize("name,part", [(name, "weights") for name in sorted(LOSSES)]
+                         + [("isda_bound", "biases"), ("softmax_ce", "biases")])  # the cosine map reads no biases
+def test_a_loss_rejects_a_non_finite_head(name, part):
+    affine, cosine, bank, f = _setup(FULL)
+    if part == "weights":
+        affine.weights[1, 2] = cosine.weights[1, 2] = np.nan
+    else:
+        affine.biases[1] = np.nan
+    with pytest.raises(ValueError, match="^non-finite values in loss inputs$"):
+        LOSSES[name](f, LABEL, affine, cosine, bank, False)
+
+
 @pytest.mark.parametrize("label", [LABEL, np.int64(LABEL), np.uint8(LABEL)])
 @pytest.mark.parametrize("name", sorted(LOSSES))
 def test_a_loss_takes_a_python_or_numpy_integer_label(name, label):

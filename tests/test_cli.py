@@ -105,7 +105,6 @@ def test_train_reports_missing_dataset(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lr,quantity", [("1e308", "parameters"), ("1e300", "eval embeddings")])
 def test_divergence_in_the_last_step_exits_3(tmp_path, capsys, lr, quantity):
     """One batch per epoch, so the step that blows up is the epoch's last:
@@ -118,6 +117,23 @@ def test_divergence_in_the_last_step_exits_3(tmp_path, capsys, lr, quantity):
                   "--set", f"opt.lr_init={lr}", "--set", "opt.epochs=1"])
     assert code == 3
     assert f"numerical failure: non-finite {quantity} at iteration 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sets,quantity", [
+    (("opt.lr_init=1e200", "opt.lr_final=1e200"), "embedding at iteration 1"),
+    (("loss.variant=isda", "loss.lambda0=1e300", "sched.deferred_fraction=0"), "loss at iteration 2"),
+])
+def test_a_diverged_run_prints_only_its_exit_3_line(tmp_path, capsys, sets, quantity):
+    """Floating-point warnings stay silent even where warnings are errors:
+    the one line on stderr names the quantity that went non-finite."""
+    gen_out = run_gen(tmp_path)
+    capsys.readouterr()
+    overrides = [arg for kv in sets for arg in ("--set", kv)]
+    code = entry(["train", "--out", str(tmp_path / "t"), *TINY_TRAIN,
+                  "--set", f"train.dataset={gen_out / 'dataset.csv'}", *overrides])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: non-finite {quantity}\n"
 
 
 def test_infinite_learning_rate_exits_2(tmp_path, capsys):

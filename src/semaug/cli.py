@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: gen, train, compare, bound-check, grad-check, score.  Every
-command resolves its configuration from defaults, an optional --config
-file, and repeatable --set key=value overrides (--seed and --out are
-shorthands for the seed/out keys, parsed and checked like --set).  A
-command that returns (exit 0, or 3 for a failed check) leaves the fully
-resolved configuration next to its outputs as <command>.config, so any
-run can be reproduced exactly; one stopped by an error leaves none.
+Every subcommand, a key of :data:`COMMANDS`, resolves its configuration
+from defaults, an optional --config file, and repeatable --set key=value
+overrides (--seed and --out are shorthands for the seed/out keys, parsed
+and checked like --set).  A command that returns (exit 0, or 3 for a
+failed check) leaves the fully resolved configuration next to its outputs
+as <command>.config, so any run can be reproduced exactly; one stopped by
+an error leaves none.
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure
 (divergence, degenerate covariance, or a failed bound/gradient check).
@@ -42,28 +42,17 @@ from .trainer import TrainingDivergedError, save_metrics, save_model, train
 GRAD_THRESHOLD = 1e-5
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="configuration file (flat key = value lines)")
-    p.add_argument("--seed", help="override the seed key")
-    p.add_argument("--out", help="override the out (output directory) key")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override one config key (repeatable)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semaug",
                                      description="difficulty-aware semantic augmentation lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gen", "generate a synthetic dataset CSV"),
-        ("train", "train an embedding model and report EER/minDCF"),
-        ("compare", "train several loss variants on shared data"),
-        ("bound-check", "Monte-Carlo validation of the closed-form bounds"),
-        ("grad-check", "finite-difference validation of analytic gradients"),
-        ("score", "score a trial list against an embeddings CSV"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", help="configuration file (flat key = value lines)")
+        p.add_argument("--seed", help="override the seed key")
+        p.add_argument("--out", help="override the out (output directory) key")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
         if name == "score":
             p.add_argument("embeddings", help="embeddings CSV (index,e0,...)")
             p.add_argument("trials", help="trial CSV (index_a,index_b,is_target)")
@@ -202,13 +191,13 @@ def cmd_score(cfg: dict, args) -> int:
     return 0
 
 
-COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "compare": cmd_compare,
-    "bound-check": cmd_bound_check,
-    "grad-check": cmd_grad_check,
-    "score": cmd_score,
+COMMANDS = {  # name -> (handler, help text), in the order the help lists them
+    "gen": (cmd_gen, "generate a synthetic dataset CSV"),
+    "train": (cmd_train, "train an embedding model and report EER/minDCF"),
+    "compare": (cmd_compare, "train several loss variants on shared data"),
+    "bound-check": (cmd_bound_check, "Monte-Carlo validation of the closed-form bounds"),
+    "grad-check": (cmd_grad_check, "finite-difference validation of analytic gradients"),
+    "score": (cmd_score, "score a trial list against an embeddings CSV"),
 }
 
 
@@ -220,7 +209,7 @@ def entry(argv=None) -> int:
     with np.errstate(all="ignore"):
         try:
             cfg = _resolve_config(args)
-            code = COMMANDS[args.command](cfg, args)  # 0, or 3 for a failed check
+            code = COMMANDS[args.command][0](cfg, args)  # 0, or 3 for a failed check
             write_config(os.path.join(cfg["out"], args.command.replace("-", "_") + ".config"), cfg)
             return code
         except (TrainingDivergedError, DegenerateCovarianceError) as exc:

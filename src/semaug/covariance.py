@@ -63,6 +63,8 @@ def checked_batch(embedding, label, dim: int, num_classes: int) -> tuple[np.ndar
     if f.ndim == 1:
         if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
             raise ValueError(f"label {label!r} is not an integer")
+        if not 0 <= label < num_classes:  # here, while a Python int too big for int64 is still one
+            raise ValueError(f"label {label} out of range [0, {num_classes})")
         f, label = f[None, :], [label]
     labels = np.asarray(label)
     if f.ndim != 2 or f.shape[1] != dim:

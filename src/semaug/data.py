@@ -76,9 +76,9 @@ class Dataset:
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.split.shape != (n,):
             raise ValueError("features, labels and split must have equal length")
-        bad = set(np.unique(self.split)) - {TRAIN, EVAL}
-        if bad:
-            raise ValueError(f"unknown split tags {sorted(bad)}")
+        if not set(np.unique(self.split)) <= {TRAIN, EVAL}:
+            tag = next(s for s in self.split.tolist() if s not in (TRAIN, EVAL))
+            raise ValueError(f"unknown split tag {str(tag)!r}")
 
     @property
     def num_classes(self) -> int:
@@ -334,10 +334,7 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"label {lo if lo < 0 else hi} outside [0, 2**63)")
         if not np.isfinite(feats).all():
             raise ValueError("non-finite feature")
-        split = [row[-1] for row in block]
-        if not set(split) <= {TRAIN, EVAL}:
-            raise ValueError(f"unknown split tag {next(s for s in split if s not in (TRAIN, EVAL))!r}")
-        return Dataset(features=feats, labels=np.array(labels), split=np.array(split))
+        return Dataset(features=feats, labels=np.array(labels), split=np.array([row[-1] for row in block]))
 
     return parse_rows(path, rows, lines, d + 2, parse)
 

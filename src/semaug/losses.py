@@ -162,31 +162,24 @@ def difficulty_dy(cos_y, gamma: float):
     return c if np.ndim(c) else float(c)
 
 
-def _coef_and_slope(mode: str, cos_y, gamma: float):
-    """Difficulty coefficients and their derivatives w.r.t. cos_y (0 where
-    clamped), elementwise over the target cosines; ``none`` gives the
-    floats 1 and 0 for every row."""
-    if mode == "none":
-        return 1.0, 0.0
-    c = np.asarray(cos_y, dtype=float)
-    inside = np.abs(c) <= 1.0
-    if mode == "DA":
-        return difficulty_da(c), np.where(inside, -0.5, 0.0)
-    if mode == "DY":
-        v = difficulty_dy(c, gamma)
-        return v, np.where(inside, -v, 0.0)
-    raise ValueError(f"unknown difficulty mode {mode!r}")
-
-
 def _scaled(name: str, spec, uy, gamma: float):
     """A (mode, factor) spec at the target cosines: factor * c(u_y) and its
-    slope factor * c'(u_y), c from :func:`_coef_and_slope`; modes ``none``
-    and ``constant`` give the floats factor and 0 for every row."""
+    slope factor * c'(u_y) (0 where u_y is clamped), elementwise, c the
+    mode's difficulty coefficient; modes ``none`` and ``constant`` give the
+    floats factor and 0 for every row."""
     mode, factor = spec[0], float(spec[1])
     if not 0 <= factor < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {factor}")
-    c, dc = _coef_and_slope("none" if mode == "constant" else mode, uy, gamma)
-    return factor * c, factor * dc
+    if mode in ("none", "constant"):
+        return factor, 0.0
+    c = np.asarray(uy, dtype=float)
+    inside = np.abs(c) <= 1.0
+    if mode == "DA":
+        return factor * difficulty_da(c), factor * np.where(inside, -0.5, 0.0)
+    if mode == "DY":
+        v = difficulty_dy(c, gamma)
+        return factor * v, factor * np.where(inside, -v, 0.0)
+    raise ValueError(f"unknown difficulty mode {mode!r}")
 
 
 def lambda_schedule(t: float, config: LossConfig, coef: float | None = None) -> float:

@@ -32,8 +32,8 @@ class TrialSet:
         self.is_target = np.asarray(self.is_target, dtype=bool)
         if not (self.index_a.shape == self.index_b.shape == self.is_target.shape):
             raise ValueError("trial arrays must have equal length")
-        if np.any(self.index_a == self.index_b):
-            raise ValueError("a trial cannot pair an index with itself")
+        if (same := self.index_a == self.index_b).any():
+            raise ValueError(f"trial pairs index {self.index_a[same.argmax()]} with itself")
 
     def __len__(self) -> int:
         return self.index_a.size
@@ -184,12 +184,11 @@ def read_trials(path) -> TrialSet:
         if not in_range:
             raise ValueError("index outside [0, 2**63)")
         a, b, t = T.T
-        if (a == b).any():
-            raise ValueError(f"trial pairs index {a[(a == b).argmax()]} with itself")
+        trials = TrialSet(index_a=a, index_b=b, is_target=t == 1)  # checks the self-pairs first
         bad = (t != 0) & (t != 1)
         if bad.any():
             raise ValueError(f"is_target must be 0 or 1, got {t[bad.argmax()]}")
-        return TrialSet(index_a=a, index_b=b, is_target=t == 1)
+        return trials
 
     block = read_int_block(path, TRIALS_HEADER, 3)
     if block is not None:

@@ -6,11 +6,12 @@ own counter-based RNG stream.  Each batch makes one embedder forward, one
 loss call over the batch's rows, computed against the covariance bank as
 of the batch start, and one backward; the optimizer then steps on the
 batch-mean gradient.  Every trained parameter is a view of one flat
-vector, so a step is one vector update.  The embeddings of the batches
-the bank may take wait in a list that the bank merges in one call (the
-pairwise update makes one merge of many batches equal to their merges
-one by one, up to rounding), just before a step whose loss may read the
-bank and at the end of every epoch.  The per-epoch evaluation embeds
+vector, the batch's gradients are concatenated into one vector of the
+same layout, and a step is one vector update.  The embeddings of the
+batches the bank may take wait in a list that the bank merges in one
+call (the pairwise update makes one merge of many batches equal to their
+merges one by one, up to rounding), just before a step whose loss may
+read the bank and at the end of every epoch.  The per-epoch evaluation embeds
 every eval row in one forward.
 """
 
@@ -20,6 +21,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +86,7 @@ class TrainSettings:
 METRICS_HEADER = ["epoch", "loss", "mean_cos_y", "mean_coef", "lambda", "eer", "min_dcf"]
 
 
-@dataclass
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """One epoch's line of ``metrics.csv``: the fields in the order of :data:`METRICS_HEADER`."""
     epoch: int
     loss: float
@@ -161,16 +162,6 @@ class SgdNesterov:
             p -= step
 
 
-def _views(flat: np.ndarray, shapes: list) -> list:
-    """Consecutive views of the 1-D ``flat``, one of each shape."""
-    out, at = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(flat[at:at + n].reshape(shape))
-        at += n
-    return out
-
-
 def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) -> TrainRun:
     X = dataset.features
     y = dataset.labels
@@ -197,15 +188,16 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     bank = CovarianceBank(C, F, settings.cov_mode)
 
     # The embedder's weights and biases and the head's weights (and biases)
-    # become views of one flat vector, and their gradients views of another,
-    # in the order backward gives them.  Each step fills the gradient vector
-    # in place: a new one per step, at the paper shape, raised peak RSS.
+    # become views of one flat vector, in the order backward gives their
+    # gradients, so each step concatenates those gradients straight into
+    # one preallocated vector of the same layout: a new vector per step, at
+    # the paper shape, raised peak RSS.
     params = embedder.parameters() + [head.weights] + ([] if head.biases is None else [head.biases])
     flat = np.concatenate([p.ravel() for p in params])
     grad = np.empty_like(flat)
-    shapes = [p.shape for p in params]
-    del params  # the views below replace them
-    views, grad_views = _views(flat, shapes), _views(grad, shapes)
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    views = [v.reshape(p.shape) for v, p in zip(np.split(flat, cuts), params)]
+    del params  # the views replace them
     layers = len(embedder.weights)
     embedder.weights, embedder.biases = views[:2 * layers:2], views[1:2 * layers:2]
     head.weights = views[2 * layers]
@@ -263,14 +255,11 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                          zip(repeat(t), batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
                              per["lambda"].tolist(), out.value.tolist()))
                 grads = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
-                grads.append(out.grad_weights)
-                if head.biases is not None:
-                    grads.append(out.grad_biases)
+                grads += [out.grad_weights] + ([] if head.biases is None else [out.grad_biases])
+                np.concatenate(grads, axis=None, out=grad)
+                grad *= 1.0 / len(batch)
                 if stats_allowed(t):
                     pending.append((f, labels))
-                for view, g in zip(grad_views, grads):
-                    view[...] = g
-                grad *= 1.0 / len(batch)
                 opt.step([grad], t)
                 t += 1
             merge_pending()  # the list holds at most one epoch of embeddings
@@ -295,8 +284,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
 
 
 def save_metrics(path, metrics: list) -> None:
-    write_csv(path, METRICS_HEADER, "%d," + float_cells(6),
-              ((r.epoch, r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf) for r in metrics))
+    write_csv(path, METRICS_HEADER, "%d," + float_cells(6), metrics)
 
 
 def save_model(path, embedder: TinyEmbedder, head: ClassifierHead) -> None:

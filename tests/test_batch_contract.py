@@ -112,6 +112,9 @@ BAD_BATCHES = {
     "inf row": (np.vstack([_TWO[0], [np.inf, 0.0, 0.0, 0.0]]), np.array([0, 1]), "non-finite embedding"),
     "label above range": (_TWO[0], C, f"label {C} out of range [0, {C})"),
     "negative label": (_TWO, np.array([1, -1]), f"label -1 out of range [0, {C})"),
+    # Python ints outside int64: named by their value, not as an object dtype
+    "label above int64": (_TWO[0], 2**64, f"label 18446744073709551616 out of range [0, {C})"),
+    "label below int64": (_TWO[0], -2**63 - 1, f"label -9223372036854775809 out of range [0, {C})"),
 }
 
 

@@ -351,3 +351,11 @@ def test_module_entry_point_help_runs():
     assert proc.returncode == 0
     for name in ("gen", "train", "compare", "bound-check", "grad-check", "score"):
         assert name in proc.stdout
+    for name in cli.COMMANDS:  # every subcommand of the one table takes the common options
+        proc = subprocess.run([sys.executable, "-m", "semaug", name, "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, name
+        for option in ("--config", "--seed", "--out", "--set"):
+            assert option in proc.stdout, (name, option)
+        if name == "score":
+            assert "embeddings" in proc.stdout and "trials" in proc.stdout

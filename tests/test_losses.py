@@ -24,7 +24,6 @@ from semaug.losses import (
     margin_bound,
     softmax_ce,
     variant_loss,
-    _coef_and_slope,
     _softmax_parts,
 )
 from semaug.rng import philox_rng
@@ -668,6 +667,19 @@ def two_product_isda(f, head, cov, lam, label):
     return a.max() + math.log(ea.sum()), W.T @ p - W[label], grad_W, grad_b
 
 
+def coef_and_slope(mode, uy, gamma):
+    """The difficulty coefficient c(u_y) for one float cosine and its slope
+    dc/du_y, from the public coefficients and their derivatives by hand:
+    (1 - u)/2 has slope -1/2, exp(1 - u)/gamma slope -c, and a cosine
+    clamped to [-1, 1] slope 0."""
+    if mode == "none":
+        return 1.0, 0.0
+    c = difficulty_da(uy) if mode == "DA" else difficulty_dy(uy, gamma)
+    if abs(uy) > 1.0:
+        return c, 0.0
+    return c, -0.5 if mode == "DA" else -c
+
+
 def two_product_margin(f, head, cov, label, margin_mode, strength_mode, lam, ramp, gamma, coef=None):
     norms = np.linalg.norm(head.weights, axis=1)
     What = head.weights / norms[:, None]
@@ -676,10 +688,10 @@ def two_product_margin(f, head, cov, label, margin_mode, strength_mode, lam, ram
     uy = float(u[label])
     dcoef = 0.0
     if coef is None:
-        coef, dcoef = _coef_and_slope(margin_mode, uy, gamma)
+        coef, dcoef = coef_and_slope(margin_mode, uy, gamma)
     dlam = 0.0
     if strength_mode != "constant":
-        c, dc = _coef_and_slope(strength_mode, uy, gamma)
+        c, dc = coef_and_slope(strength_mode, uy, gamma)
         lam, dlam = ramp * c, ramp * dc
     phi, U = _two_products(What - What[label], cov, label)
     b = s * (u - uy) + s * m * coef + 0.5 * lam * s * s * phi

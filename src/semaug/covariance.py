@@ -45,10 +45,10 @@ class ClassStats:
         return cls(class_id, 0, np.zeros(dim), np.zeros(shape))
 
 
-# Element budget of one chunk of a batched step: the bank merge takes
-# consecutive classes while their rows' F x F (or F) blocks fit it, and the
-# losses' augmentation term takes labels while their C x F differences fit
-# it, so the peak memory of either stays flat in the batch and class count.
+# Element budget of one chunk of a batched step: the losses' augmentation
+# term takes labels while their C x F differences fit it, and trial scoring
+# takes trials while their embedding rows fit it, so the peak memory of
+# either stays flat in the batch, class and trial count.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -102,7 +102,11 @@ class ClassStatsView:
     ``mean`` and ``cov`` are views of the bank's row i (writing into them
     writes the bank; ``count`` is a copy).  Assigning a ``ClassStats`` to
     entry i copies its count, mean and cov into row i, whatever its
-    ``class_id``.  ``len`` and iteration follow the sequence protocol."""
+    ``class_id``, once they pass the rule every stored row keeps: the count
+    is an integer (a bool is none) in [0, 2**63), every cell is finite, no
+    variance is negative and a full covariance is asymmetric by at most
+    1e-12 * trace.  A rejected assignment raises ValueError and leaves the
+    row as it was.  ``len`` and iteration follow the sequence protocol."""
 
     __slots__ = ("_bank",)
 
@@ -128,7 +132,23 @@ class ClassStatsView:
         if mean.shape != b.mean.shape[1:] or cov.shape != b.cov.shape[1:]:
             raise ValueError(f"stats have mean {mean.shape} and cov {cov.shape}, "
                              f"expected {b.mean.shape[1:]} and {b.cov.shape[1:]}")
-        b.count[i], b.mean[i], b.cov[i] = stats.count, mean, cov
+        count = stats.count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"count {count!r} is not an integer")
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        if count >= 2**63:
+            raise ValueError(f"count {count} too large")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("non-finite mean or covariance cell")
+        variances = np.diagonal(cov) if cov.ndim == 2 else cov
+        if np.any(variances < 0.0):
+            raise ValueError(f"negative variance {float(variances.min())!r}")
+        if cov.ndim == 2:
+            asym = float(np.max(np.abs(cov - cov.T)))
+            if asym > 1e-12 * float(np.trace(cov)):
+                raise ValueError(f"covariance asymmetric by {asym:.3e}")
+        b.count[i], b.mean[i], b.cov[i] = count, mean, cov
 
 
 class CovarianceBank:
@@ -171,13 +191,10 @@ class CovarianceBank:
         Its k = 1 case is the exact one-pass (Welford) step; either way the
         result is the two-pass population covariance of everything seen.
 
-        The classes present are merged in chunks of consecutive classes
-        whose batch rows' covariance blocks (F x F, or F) fit
-        :data:`CHUNK_ELEMENTS`, each chunk in a few array operations over all
-        its classes.  A chunk of one class is merged in place, and so is
-        every class of a full-covariance batch whose classes' blocks alone
-        overfill the budget: there the gather and scatter of K blocks cost
-        more than one in-place merge per class.
+        Full covariances merge class by class in place, each from its own
+        k x F rows and one F x F scatter, so memory stays flat in the batch
+        size and class count; diagonal variances merge in one segmented sum
+        over all the batch rows.  Means and counts update as one vector step.
         """
         x, labels = checked_batch(embedding, label, self.dim, self.num_classes)
         # the classes present, their batch counts k and batch means m, with
@@ -185,62 +202,32 @@ class CovarianceBank:
         k = np.bincount(labels, minlength=self.num_classes)
         classes = np.flatnonzero(k)
         k = k[classes]
-        ends = np.cumsum(k)
-        starts = ends - k
+        starts = np.cumsum(k) - k
         x = x[np.argsort(labels, kind="stable")]
         m = np.add.reduceat(x, starts, axis=0) / k[:, None]
-        block = self.cov[0].size
-        per_class = self.mode == FULL and classes.size * block > CHUNK_ELEMENTS
-        cls, n, first, last = classes.tolist(), self.count[classes].tolist(), starts.tolist(), ends.tolist()
-        a = 0
-        while a < len(cls):
-            b = a + 1 if per_class else max(
-                int(np.searchsorted(ends, first[a] + CHUNK_ELEMENTS // block, side="right")), a + 1)
-            rows = x[first[a]:last[b - 1]]
-            if b - a == 1:
-                self._merge_one(cls[a], n[a], rows, m[a])
-            else:
-                self._merge(classes[a:b], k[a:b], rows, m[a:b])
-            a = b
-
-    def _merge(self, classes, k, x, m) -> None:
-        """Merge classes with batch counts k, rows x (each class's rows
-        contiguous, in class order) and batch means m, all at once; the
-        scatters M2 are one product of the class-membership matrix with
-        the rows' outer products."""
         n = self.count[classes]
         n1 = n + k
         d = m - self.mean[classes]
-        col = (-1,) + (1,) * (self.cov.ndim - 1)  # a (K,) vector against the K blocks
-        member = np.repeat(np.arange(classes.size), k)
-        r = x - m[member]
-        member = (member == np.arange(classes.size)[:, None]).astype(float)
-        full = self.mode == FULL
-        spread = (n * k / n1).reshape(col) * (np.einsum("kf,kg->kfg", d, d) if full else d * d)
-        scatter = np.einsum("bf,bg->bfg", r, r) if full else r * r
-        spread += (member @ scatter.reshape(len(r), -1)).reshape(spread.shape)
-        self.mean[classes] += d * k[:, None] / n1[:, None]
-        self.cov[classes] = (n.reshape(col) * self.cov[classes] + spread) / n1.reshape(col)
-        self.count[classes] = n1
-
-    def _merge_one(self, c: int, n: int, x, m) -> None:
-        """Merge class c, of running count n, with its batch rows x of mean
-        m, in place."""
-        k = x.shape[0]
-        n1 = n + k
-        d = m - self.mean[c]
-        full = self.mode == FULL
         w = n * k / n1
-        spread = w * (d[:, None] * d) if full else w * d * d
-        if k > 1:
-            r = x - m
-            spread += r.T @ r if full else (r * r).sum(axis=0)
-        self.mean[c] += d * k / n1
-        cov = self.cov[c]
-        cov *= n
-        cov += spread
-        cov /= n1
-        self.count[c] = n1
+        if self.mode == FULL:
+            for c, wc, dc, mc, nc, n1c, s, kc in zip(classes.tolist(), w.tolist(), d, m, n.tolist(),
+                                                    n1.tolist(), starts.tolist(), k.tolist()):
+                spread = wc * (dc[:, None] * dc)
+                if kc > 1:
+                    r = x[s:s + kc] - mc
+                    spread += r.T @ r
+                cov = self.cov[c]
+                cov *= nc
+                cov += spread
+                cov /= n1c
+        else:
+            x -= np.repeat(m, k, axis=0)  # the sorted copy is ours: its rows become the
+            x *= x                        # residuals, then their squares, in place
+            spread = w[:, None] * d * d
+            spread += np.add.reduceat(x, starts, axis=0)
+            self.cov[classes] = (n[:, None] * self.cov[classes] + spread) / n1[:, None]
+        self.mean[classes] += d * k[:, None] / n1[:, None]
+        self.count[classes] = n1
 
 
 def forms_and_products(cov: np.ndarray, R: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +318,10 @@ def load_bank(path: str) -> CovarianceBank:
 
     Every defect raises ``ValueError("<path>: line N: ...")``: a byte that
     is not UTF-8, a malformed header, a wrong row or cell count, a class id
-    that is not an integer in range or that repeats, a negative count or
-    one of 2**63 or more, a non-finite cell, a negative variance, or a full
-    covariance asymmetric beyond 1e-12 * trace.
+    that is not an integer in range or that repeats, or a row that breaks
+    the rule of :class:`ClassStatsView` (a negative count or one of 2**63 or
+    more, a non-finite cell, a negative variance, or a full covariance
+    asymmetric beyond 1e-12 * trace).
     """
     # A line is blank when it holds no comma and only whitespace.
     table, starts = read_csv_rows(path) if os.path.getsize(path) else ([], [1])
@@ -365,32 +353,16 @@ def load_bank(path: str) -> CovarianceBank:
     bank = CovarianceBank(num_classes, dim, mode)
     seen = set()
     for n, cells in rows:
-        where = f"{path}: line {n}"
         try:
             cid, count = int(cells[0]), int(cells[1])
             values = np.array([float(v) for v in cells[2:]])
+            if not 0 <= cid < num_classes:
+                raise ValueError(f"class id {cid} out of range [0, {num_classes})")
+            if cid in seen:
+                raise ValueError(f"duplicate class id {cid}")
+            seen.add(cid)
+            mean, cov = values[:dim], values[dim:]
+            bank.stats[cid] = ClassStats(cid, count, mean, cov.reshape(dim, dim) if mode == FULL else cov)
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if not 0 <= cid < num_classes:
-            raise ValueError(f"{where}: class id {cid} out of range [0, {num_classes})")
-        if cid in seen:
-            raise ValueError(f"{where}: duplicate class id {cid}")
-        seen.add(cid)
-        if count < 0:
-            raise ValueError(f"{where}: negative count {count}")
-        if count >= 2**63:
-            raise ValueError(f"{where}: count {count} too large")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{where}: non-finite mean or covariance cell")
-        mean, cov = values[:dim], values[dim:]
-        if mode == FULL:
-            cov = cov.reshape(dim, dim)
-        variances = np.diagonal(cov) if mode == FULL else cov
-        if np.any(variances < 0.0):
-            raise ValueError(f"{where}: negative variance {float(variances.min())!r}")
-        if mode == FULL:
-            asym = float(np.max(np.abs(cov - cov.T)))
-            if asym > 1e-12 * float(np.trace(cov)):
-                raise ValueError(f"{where}: covariance asymmetric by {asym:.3e}")
-        bank.count[cid], bank.mean[cid], bank.cov[cid] = count, mean, cov
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     return bank

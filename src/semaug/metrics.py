@@ -32,6 +32,9 @@ class TrialSet:
         self.is_target = np.asarray(self.is_target, dtype=bool)
         if not (self.index_a.shape == self.index_b.shape == self.is_target.shape):
             raise ValueError("trial arrays must have equal length")
+        pairs = np.stack((self.index_a, self.index_b), axis=-1)
+        if (negative := pairs[pairs < 0]).size:  # take would wrap it to a row from the end
+            raise ValueError(f"trial index {negative[0]} is negative")
         if (same := self.index_a == self.index_b).any():
             raise ValueError(f"trial pairs index {self.index_a[same.argmax()]} with itself")
 

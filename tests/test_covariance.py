@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from semaug.covariance import (
-    CHUNK_ELEMENTS,
     DIAGONAL,
     FULL,
     ClassStats,
@@ -158,7 +157,7 @@ def test_batch_update_matches_the_stream(mode):
 
 class ListBank:
     """Oracle: the bank as a list of ClassStats, merging a batch one class
-    at a time, as the array bank did before its merge was batched."""
+    at a time by the Chan-Golub-LeVeque step written out per class."""
 
     def __init__(self, num_classes, dim, mode):
         self.mode = mode
@@ -188,17 +187,16 @@ class ListBank:
             st.count = n1
 
 
-@pytest.mark.parametrize("C,F,B,mode,budget_rows", [
-    (20, 16, 32, FULL, False),       # the toy shape: one chunk of every class present
-    (20, 16, 32, DIAGONAL, False),
-    (256, 64, 128, FULL, True),      # K*F*F past the budget: one in-place merge per class
-    (40, 48, 1500, DIAGONAL, True),  # B*F past the budget: several chunks of classes
-    (6, 40, 300, FULL, True),        # few classes whose rows overfill a chunk alone
+@pytest.mark.parametrize("C,F,B,mode", [
+    (20, 16, 32, FULL),        # the toy shape: a few rows for each class present
+    (20, 16, 32, DIAGONAL),
+    (20, 16, 960, FULL),       # an epoch-end merge of every toy row at once
+    (256, 64, 128, FULL),      # the paper-like shape: most classes take one or two rows
+    (40, 48, 1500, DIAGONAL),  # a long segmented sum over many classes
+    (6, 40, 300, FULL),        # few classes of many rows each
 ])
-def test_array_bank_matches_the_per_class_merge(C, F, B, mode, budget_rows):
+def test_array_bank_matches_the_per_class_merge(C, F, B, mode):
     rng = philox_rng(113)
-    block = F * F if mode == FULL else F
-    assert (B * block > CHUNK_ELEMENTS) == budget_rows
     bank, oracle = CovarianceBank(C, F, mode), ListBank(C, F, mode)
     for _ in range(6):
         x = rng.standard_normal((B, F)) * rng.uniform(0.5, 2.0, F)
@@ -207,8 +205,11 @@ def test_array_bank_matches_the_per_class_merge(C, F, B, mode, budget_rows):
         oracle.update(x, labels)
     for got, want in zip(bank.stats, oracle.stats):
         assert got.count == want.count
-        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(want.mean).max()))
-        assert rel_frobenius(got.cov, want.cov) <= 1e-12 if want.count else np.all(got.cov == 0.0)
+        if mode == FULL:  # the same arithmetic class by class: bit for bit
+            assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+        else:  # one segmented sum rounds apart from per-class sums
+            np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12 * max(1.0, np.abs(want.mean).max()))
+            assert rel_frobenius(got.cov, want.cov) <= 1e-12 if want.count else np.all(got.cov == 0.0)
 
 
 def test_stats_view_reads_write_through_and_assignments_copy():
@@ -231,8 +232,31 @@ def test_stats_view_reads_write_through_and_assignments_copy():
     with pytest.raises(ValueError, match="cov"):
         bank.stats[0] = ClassStats(0, 1, np.zeros(3), np.zeros(3))  # a diagonal cov in a full bank
     diag = CovarianceBank(2, 3, DIAGONAL)
-    diag.stats[1] = ClassStats(5, 4, np.ones(3), np.full(3, 0.5))
+    diag.stats[1] = ClassStats(5, np.int64(4), np.ones(3), np.full(3, 0.5))  # a numpy integer is a count
     assert diag.count.tolist() == [0, 4] and diag.cov[1].tolist() == [0.5] * 3
+
+
+@pytest.mark.parametrize("mode,stats,match", [
+    (FULL, ClassStats(0, -3, np.zeros(2), np.zeros((2, 2))), r"^negative count -3$"),
+    (FULL, ClassStats(1, 2.7, np.array([np.nan, 0.0]), np.eye(2)), r"^count 2\.7 is not an integer$"),
+    (FULL, ClassStats(1, True, np.zeros(2), np.eye(2)), r"^count True is not an integer$"),
+    (FULL, ClassStats(1, 2, np.array([np.nan, 0.0]), np.eye(2)), r"^non-finite mean or covariance cell$"),
+    (FULL, ClassStats(1, 2**63, np.zeros(2), np.eye(2)), r"^count 9223372036854775808 too large$"),
+    (FULL, ClassStats(1, 2, np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])), r"^covariance asymmetric by"),
+    (FULL, ClassStats(1, 2, np.zeros(2), -np.eye(2)), r"^negative variance -1\.0$"),
+    (DIAGONAL, ClassStats(1, 2, np.zeros(2), np.array([0.5, -0.25])), r"^negative variance -0\.25$"),
+])
+def test_stats_assignment_keeps_the_rule_the_snapshot_reader_checks(tmp_path, mode, stats, match):
+    bank = CovarianceBank(2, 2, mode)
+    bank.stats[1] = ClassStats(1, 3, np.ones(2), np.ones(2) if mode == DIAGONAL else np.eye(2))
+    before = [a.copy() for a in (bank.count, bank.mean, bank.cov)]
+    with pytest.raises(ValueError, match=match):
+        bank.stats[1] = stats
+    assert all(np.array_equal(a, b) for a, b in zip((bank.count, bank.mean, bank.cov), before))
+    # so every bank that can be built writes a snapshot that reads back
+    save_bank(bank, tmp_path / "bank.csv")
+    back = load_bank(tmp_path / "bank.csv")
+    assert np.array_equal(back.count, bank.count) and np.array_equal(back.cov, bank.cov)
 
 
 def test_bank_constructor_validation():

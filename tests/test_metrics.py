@@ -303,6 +303,14 @@ def test_score_trials_rejects_zero_rows():
 # -- containers and files --------------------------------------------------------------
 
 
+def test_a_negative_trial_index_is_rejected_not_wrapped():
+    # take would read index -1 as the last row and score [0.] here
+    with pytest.raises(ValueError, match=r"^trial index -1 is negative$"):
+        score_trials(np.eye(3), TrialSet([-1], [0], [True]))
+    with pytest.raises(ValueError, match=r"^trial index -4 is negative$"):
+        TrialSet(index_a=[0, 2], index_b=[1, -4], is_target=[True, False])
+
+
 def test_container_validation():
     with pytest.raises(ValueError, match="itself"):
         TrialSet(index_a=np.array([1]), index_b=np.array([1]), is_target=np.array([True]))

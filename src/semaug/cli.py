@@ -102,7 +102,7 @@ def cmd_train(cfg: dict, args) -> int:
                      range(len(run.eval_indices)), run.eval_embeddings)
     write_trials(os.path.join(out, "trials.csv"), run.trials)
     print(format_metrics(run.final_eer, run.final_min_dcf))
-    print(f"fallbacks={run.fallback_count}", file=sys.stderr)
+    print(f"fallbacks={run.embedder.fallback_count}", file=sys.stderr)
     return 0
 
 
@@ -170,20 +170,19 @@ def cmd_grad_check(cfg: dict, args) -> int:
 
 
 def cmd_score(cfg: dict, args) -> int:
-    embs = read_embeddings(args.embeddings)
+    index, E = read_embeddings(args.embeddings)
     trials = read_trials(args.trials)
     for kind, present in (("target", trials.is_target), ("nontarget", ~trials.is_target)):
         if not present.any():
             raise ValueError(f"{args.trials}: line {read_csv_rows(args.trials)[1][-1]}: no {kind} trial")
-    order = np.array(sorted(embs), dtype=np.int64)
+    order = np.argsort(index)
     wanted = np.concatenate([trials.index_a, trials.index_b])
-    pos = np.searchsorted(order, wanted)
-    missing = np.unique(wanted[order[np.minimum(pos, order.size - 1)] != wanted])
+    rows = order[np.minimum(np.searchsorted(index, wanted, sorter=order), order.size - 1)]
+    missing = np.unique(wanted[index[rows] != wanted])
     if missing.size:
         raise ValueError(f"{args.trials}: indices missing from embeddings: {missing[:5].tolist()}")
-    mat = np.array([embs[idx] for idx in order.tolist()])
-    remapped = type(trials)(index_a=pos[:len(trials)], index_b=pos[len(trials):], is_target=trials.is_target)
-    scores = score_trials(mat, remapped)
+    remapped = type(trials)(index_a=rows[:len(trials)], index_b=rows[len(trials):], is_target=trials.is_target)
+    scores = score_trials(E, remapped)
     eer, _, mdcf = eer_and_min_dcf(scores, build(DcfParams, cfg))
     out = _outdir(cfg)
     write_scores(os.path.join(out, "scores.csv"), trials, scores)

@@ -349,8 +349,10 @@ def write_embeddings(path, indices, vectors) -> None:
               zip(list(map(int, indices)), *V.T.tolist()))
 
 
-def read_embeddings(path) -> dict[int, np.ndarray]:
-    """Read an embedding CSV written by :func:`write_embeddings`.
+def read_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read an embedding CSV written by :func:`write_embeddings` as
+    ``(index, E)`` in file order: the int64 indices (N,) and the float
+    embeddings (N, F), row i of ``E`` being the embedding of ``index[i]``.
 
     Every defect, including a non-finite value, a row of norm below 1e-12
     (which scoring cannot normalize), an index outside [0, 2**63) or a
@@ -378,6 +380,6 @@ def read_embeddings(path) -> dict[int, np.ndarray]:
             raise ValueError("non-finite value")
         if (np.linalg.norm(E, axis=1) < 1e-12).any():
             raise ValueError("zero-norm embedding")
-        return dict(zip(indices, E))
+        return np.array(indices, dtype=np.int64), E
 
     return parse_rows(path, rows, lines, len(header), parse)

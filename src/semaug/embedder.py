@@ -5,9 +5,10 @@ L2-normalized onto the unit sphere.  Gradients flow through the
 normalization via its exact Jacobian.  ``forward`` takes a (B, d_in)
 batch, one input row (d_in,) being a batch of one, and returns (B, F)
 embeddings; ``backward`` sums the parameter gradients over the batch's
-rows.  A row whose pre-normalization output is all zero (possible
-when every rectifier unit is off) is replaced by the first basis vector
-and counted in ``fallback_count``; its local gradient is zero.
+rows and hands them back in the order of ``parameters``.  A row whose
+pre-normalization output is all zero (possible when every rectifier unit
+is off) is replaced by the first basis vector and counted in
+``fallback_count``; its local gradient is zero.
 """
 
 from __future__ import annotations
@@ -64,12 +65,9 @@ class TinyEmbedder:
         return self.layer_sizes[-1]
 
     def parameters(self) -> list:
-        """Flat parameter list in a fixed order (weights and biases interleaved)."""
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        """The weights and biases interleaved in forward order, [W0, b0, W1,
+        b1, ...]: the one layout ``backward`` hands back its gradients in."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
         """Unit-norm embeddings (B, F) of a batch (B, d_in) or of one input
@@ -93,9 +91,9 @@ class TinyEmbedder:
         f[dead] = np.eye(1, self.dim_out)[0]
         return f, ForwardCache(x=x, hidden=hidden, prenorm=n, f=f, fallback=dead)
 
-    def backward(self, cache: ForwardCache, grad_f) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Parameter gradients for an upstream dL/df, one (dW, db) pair per
-        layer in forward order, summed over the rows of a batch."""
+    def backward(self, cache: ForwardCache, grad_f) -> list[np.ndarray]:
+        """Parameter gradients for an upstream dL/df, summed over the rows
+        of a batch, one per entry of :meth:`parameters` and in its order."""
         if cache is None:
             raise ValueError("backward needs the ForwardCache from forward")
         g = np.asarray(grad_f, dtype=float)
@@ -104,10 +102,10 @@ class TinyEmbedder:
         # a fallback row's output is locally constant: dividing by inf zeroes it
         prenorm = np.where(cache.fallback, np.inf, cache.prenorm)
         delta = (g - np.vecdot(g, cache.f)[:, None] * cache.f) / prenorm[:, None]
-        grads = [None] * len(self.weights)
+        grads = [None] * (2 * len(self.weights))
         inputs = [cache.x] + cache.hidden
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads[layer] = (delta.T @ inputs[layer], delta.sum(axis=0))
+            grads[2 * layer:2 * layer + 2] = delta.T @ inputs[layer], delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights[layer]) * (cache.hidden[layer - 1] > 0.0)
         return grads

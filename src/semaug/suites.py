@@ -309,13 +309,11 @@ def composed_gradcheck(trials: int, epsilon: float, seed) -> list[GradTrial]:
             head = replace(head, scale=_tempered_scale(f[0], head, bank, label, cfg, 10))
         # differentiate the forward pass the redraw loop settled on
         loss = variant_loss(f[0], head, bank, label, cfg, 10)
-        param_grads = emb.backward(cache, loss.grad_embedding)
+        pairs = list(zip(emb.parameters(), emb.backward(cache, loss.grad_embedding)))
 
         def value() -> float:
             return variant_loss(emb.forward(x)[0][0], head, bank, label, cfg, 10, value_only=True).value[0]
 
-        pairs = [pair for layer, (gW, gb) in enumerate(param_grads)
-                 for pair in ((emb.weights[layer], gW), (emb.biases[layer], gb))]
         pairs.append((head.weights, loss.grad_weights))
         if loss.grad_biases is not None:
             pairs.append((head.biases, loss.grad_biases))

@@ -6,8 +6,9 @@ own counter-based RNG stream.  Each batch makes one embedder forward, one
 loss call over the batch's rows, computed against the covariance bank as
 of the batch start, and one backward; the optimizer then steps on the
 batch-mean gradient.  Every trained parameter is a view of one flat
-vector, the batch's gradients are concatenated into one vector of the
-same layout, and a step is one vector update.  The embeddings of the
+vector, the embedder's backward and the loss hand back their gradients in
+that vector's order, so they concatenate into one vector of the same
+layout, and the optimizer steps the one vector.  The embeddings of the
 batches the bank may take wait in a list that the bank merges in one
 call (the pairwise update makes one merge of many batches equal to their
 merges one by one, up to rounding), just before a step whose loss may
@@ -104,8 +105,6 @@ class TrainRun:
     bank: CovarianceBank
     config: LossConfig
     metrics: list
-    total_iters: int
-    fallback_count: int
     eval_indices: np.ndarray
     eval_embeddings: np.ndarray
     trials: object
@@ -120,7 +119,9 @@ class TrainRun:
 
 
 class SgdNesterov:
-    """SGD with Nesterov momentum, exponential LR decay, weight decay.
+    """SGD with Nesterov momentum, exponential LR decay, weight decay, on
+    one parameter vector ``param``, stepped in place with one velocity
+    vector of its shape.
 
     Update convention (stated so runs are reproducible bit for bit):
     g <- g + wd*theta; v' = mu*v - lr*g; theta' = theta + mu*v' - lr*g.
@@ -128,12 +129,12 @@ class SgdNesterov:
     returned exactly at t=0 and t=T.
     """
 
-    def __init__(self, params: list, lr_init: float, lr_final: float,
+    def __init__(self, param: np.ndarray, lr_init: float, lr_final: float,
                  total_iters: int, momentum: float = 0.9, weight_decay: float = 1e-4):
         if total_iters < 1:
             raise ValueError("total_iters must be >= 1")
-        self.params = params
-        self.velocity = [np.zeros_like(p) for p in params]
+        self.param = param
+        self.velocity = np.zeros_like(param)
         self.lr_init = float(lr_init)
         self.lr_final = float(lr_final)
         self.total_iters = int(total_iters)
@@ -149,17 +150,19 @@ class SgdNesterov:
             return self.lr_final
         return self.lr_init * (self.lr_final / self.lr_init) ** (t / self.total_iters)
 
-    def step(self, grads: list, t: int) -> None:
+    def step(self, grad: np.ndarray, t: int) -> None:
+        """One update with ``grad``, which must have the parameter's shape."""
+        p, v = self.param, self.velocity
+        if np.shape(grad) != p.shape:
+            raise ValueError(f"gradient has shape {np.shape(grad)}, expected {p.shape}")
         lr = self.lr_at(t)
-        mu = self.momentum
-        for p, v, g in zip(self.params, self.velocity, grads):
-            step = self.weight_decay * p
-            step += g
-            step *= lr  # lr*g, formed once
-            v *= mu
-            v -= step
-            p += mu * v
-            p -= step
+        step = self.weight_decay * p
+        step += grad
+        step *= lr  # lr*g, formed once
+        v *= self.momentum
+        v -= step
+        p += self.momentum * v
+        p -= step
 
 
 def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) -> TrainRun:
@@ -203,7 +206,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
     head.weights = views[2 * layers]
     if head.biases is not None:
         head.biases = views[-1]
-    opt = SgdNesterov([flat], settings.lr_init, settings.lr_final, total_iters,
+    opt = SgdNesterov(flat, settings.lr_init, settings.lr_final, total_iters,
                       settings.momentum, settings.weight_decay)
 
     shuffle_rng = philox_rng(settings.seed, 2)
@@ -254,13 +257,13 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
                     diag(diag_row,
                          zip(repeat(t), batch.tolist(), per["cos_y"].tolist(), per["coef"].tolist(),
                              per["lambda"].tolist(), out.value.tolist()))
-                grads = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
-                grads += [out.grad_weights] + ([] if head.biases is None else [out.grad_biases])
+                grads = (embedder.backward(cache, out.grad_embedding) + [out.grad_weights]
+                         + ([] if head.biases is None else [out.grad_biases]))
                 np.concatenate(grads, axis=None, out=grad)
                 grad *= 1.0 / len(batch)
                 if stats_allowed(t):
                     pending.append((f, labels))
-                opt.step([grad], t)
+                opt.step(grad, t)
                 t += 1
             merge_pending()  # the list holds at most one epoch of embeddings
 
@@ -278,9 +281,7 @@ def train(dataset: Dataset, loss_config: LossConfig, settings: TrainSettings) ->
             metrics.append(MetricsRow(epoch, *values))
 
     return TrainRun(embedder=embedder, head=head, bank=bank, config=cfg,
-                    metrics=metrics, total_iters=total_iters,
-                    fallback_count=embedder.fallback_count,
-                    eval_indices=eval_idx, eval_embeddings=eval_embs, trials=trials)
+                    metrics=metrics, eval_indices=eval_idx, eval_embeddings=eval_embs, trials=trials)
 
 
 def save_metrics(path, metrics: list) -> None:

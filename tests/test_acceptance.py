@@ -306,7 +306,7 @@ def test_schedule_and_lr_endpoints_are_exact(capsys):
     deferred_zero = all(lambda_schedule(t, cfg) == 0.0 for t in (0, 1, 250, 399))
     at_end = lambda_schedule(1000, cfg) == 0.15
 
-    opt = SgdNesterov([np.zeros(3)], lr_init=0.05, lr_final=1e-4, total_iters=500)
+    opt = SgdNesterov(np.zeros(3), lr_init=0.05, lr_final=1e-4, total_iters=500)
     lr_exact = opt.lr_at(0) == 0.05 and opt.lr_at(500) == 1e-4
     ok = deferred_zero and at_end and lr_exact
     _report(capsys, 9, ok,

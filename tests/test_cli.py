@@ -1,7 +1,6 @@
 """Command-line flows: exit codes, produced files, reproducibility from
 the recorded resolved config, and the scoring round trip."""
 
-import dataclasses
 import re
 import subprocess
 import sys
@@ -80,7 +79,13 @@ def test_train_prints_the_fallback_count_to_stderr_only(tmp_path, capsys, monkey
     assert entry(argv) == 0
     out, err = capsys.readouterr()
     assert re.fullmatch(r"EER\(%\)=\d+\.\d{3} minDCF=\d+\.\d{3}\n", out) and err == "fallbacks=0\n"
-    monkeypatch.setattr(cli, "train", lambda *args: dataclasses.replace(train(*args), fallback_count=5))
+
+    def with_fallbacks(*args):
+        run = train(*args)
+        run.embedder.fallback_count = 5
+        return run
+
+    monkeypatch.setattr(cli, "train", with_fallbacks)
     assert entry(argv) == 0
     assert capsys.readouterr() == (out, "fallbacks=5\n")
 
@@ -305,6 +310,32 @@ def test_score_accepts_sparse_indices(tmp_path, capsys):
                   str(tmp_path / "emb.csv"), str(tmp_path / "trials.csv")])
     assert code == 0
     assert "EER" in capsys.readouterr().out
+
+
+def test_score_reads_embedding_rows_in_any_order(tmp_path, capsys):
+    # the same rows, written in index order and shuffled, with gaps in the indices
+    rng = np.random.default_rng(2)
+    index = np.array([1, 4, 7, 8, 13, 40, 41, 57, 90, 91, 300, 1000])
+    vecs = rng.standard_normal((index.size, 4))
+    a, b = np.triu_indices(index.size, 1)
+    trials = TrialSet(index_a=index[a], index_b=index[b], is_target=a % 3 == b % 3)
+    write_trials(tmp_path / "trials.csv", trials)
+    perm = rng.permutation(index.size)
+    assert not np.all(np.diff(index[perm]) > 0)
+    write_embeddings(tmp_path / "sorted.csv", index, vecs)
+    write_embeddings(tmp_path / "shuffled.csv", index[perm], vecs[perm])
+    outputs = []
+    for name in ("sorted", "shuffled"):
+        assert entry(["score", "--out", str(tmp_path / name), str(tmp_path / f"{name}.csv"),
+                      str(tmp_path / "trials.csv")]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / name / "scores.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    # an index in a gap or past the last one is still missing
+    write_trials(tmp_path / "gaps.csv", TrialSet(index_a=np.array([1, 5]), index_b=np.array([2000, 7]),
+                                                 is_target=np.array([True, False])))
+    assert entry(["score", "--out", str(tmp_path / "g"), str(tmp_path / "shuffled.csv"),
+                  str(tmp_path / "gaps.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'gaps.csv'}: indices missing from embeddings: [5, 2000]\n"
 
 
 def test_score_reports_unknown_indices(tmp_path, capsys):

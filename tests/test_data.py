@@ -178,10 +178,9 @@ def test_embeddings_round_trip(tmp_path):
     vecs = np.array([[0.1, -0.2, 0.3], [1.0 / 3.0, 2.0 / 3.0, -1.0]])
     path = tmp_path / "emb.csv"
     write_embeddings(path, [4, 9], vecs)
-    back = read_embeddings(path)
-    assert sorted(back) == [4, 9]
-    np.testing.assert_array_equal(back[4], vecs[0])
-    np.testing.assert_array_equal(back[9], vecs[1])
+    index, E = read_embeddings(path)
+    assert index.dtype == np.int64 and index.tolist() == [4, 9]
+    np.testing.assert_array_equal(E, vecs, strict=True)
 
 
 def test_embeddings_file_errors(tmp_path):

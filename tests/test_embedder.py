@@ -51,10 +51,8 @@ def test_normalization_kills_the_radial_gradient_component():
     net = make_net([4, 5, 3], seed=3)
     x = philox_rng(403).standard_normal(4)
     f, cache = net.forward(x)
-    grads = net.backward(cache, 3.7 * f)
-    for gW, gb in grads:
-        assert np.abs(gW).max() < 1e-12
-        assert np.abs(gb).max() < 1e-12
+    for g in net.backward(cache, 3.7 * f):
+        assert np.abs(g).max() < 1e-12
 
 
 def test_gradient_is_linear_in_the_upstream_vector():
@@ -66,16 +64,15 @@ def test_gradient_is_linear_in_the_upstream_vector():
     a = net.backward(cache, g1)
     b = net.backward(cache, g2)
     c = net.backward(cache, g1 + 2.0 * g2)
-    for (aW, ab), (bW, bb), (cW, cb) in zip(a, b, c):
-        np.testing.assert_allclose(cW, aW + 2.0 * bW, atol=1e-12)
-        np.testing.assert_allclose(cb, ab + 2.0 * bb, atol=1e-12)
+    for ga, gb, gc in zip(a, b, c, strict=True):
+        np.testing.assert_allclose(gc, ga + 2.0 * gb, atol=1e-12)
 
 
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     net = make_net([4, 5, 3], seed=5)
     _, cache = net.forward(philox_rng(405).standard_normal(4))
-    for gW, gb in net.backward(cache, np.zeros((1, 3))):
-        assert np.all(gW == 0.0) and np.all(gb == 0.0)
+    for g in net.backward(cache, np.zeros((1, 3))):
+        assert np.all(g == 0.0)
 
 
 def test_parameter_gradients_match_finite_differences():
@@ -89,21 +86,22 @@ def test_parameter_gradients_match_finite_differences():
 
     _, cache = net.forward(x)
     grads = net.backward(cache, u[None, :])
+    # one gradient per parameter, in the order and shape of parameters()
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
     eps = 1e-6
-    for layer, (gW, gb) in enumerate(grads):
-        for arr, g in ((net.weights[layer], gW), (net.biases[layer], gb)):
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                vp = loss()
-                arr[idx] = orig - eps
-                vm = loss()
-                arr[idx] = orig
-                fd = (vp - vm) / (2 * eps)
-                assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-                it.iternext()
+    for arr, g in zip(net.parameters(), grads, strict=True):
+        it = np.nditer(arr, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            vp = loss()
+            arr[idx] = orig - eps
+            vm = loss()
+            arr[idx] = orig
+            fd = (vp - vm) / (2 * eps)
+            assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            it.iternext()
 
 
 def test_all_dead_fallback_is_counted_and_locally_flat():
@@ -113,9 +111,8 @@ def test_all_dead_fallback_is_counted_and_locally_flat():
     np.testing.assert_array_equal(f, [[1.0, 0.0, 0.0, 0.0]])
     assert cache.fallback.tolist() == [True]
     assert net.fallback_count == 1
-    grads = net.backward(cache, np.ones((1, 4)))
-    for gW, gb in grads:
-        assert np.all(gW == 0.0) and np.all(gb == 0.0)
+    for g in net.backward(cache, np.ones((1, 4))):
+        assert np.all(g == 0.0)
     net.forward(np.array([0.5, 0.5]))
     assert net.fallback_count == 2
 
@@ -132,9 +129,8 @@ def test_all_dead_fallback_is_counted_and_locally_flat():
     live_f, live_cache = net.forward(X[1])
     np.testing.assert_allclose(F[1:2], live_f, rtol=1e-12, atol=0)
     upstream = philox_rng(410).standard_normal((3, 4))
-    for (gW, gb), (lW, lb) in zip(net.backward(cache, upstream), net.backward(live_cache, upstream[1:2])):
-        np.testing.assert_allclose(gW, lW, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(gb, lb, rtol=1e-12, atol=1e-15)
+    for g, live in zip(net.backward(cache, upstream), net.backward(live_cache, upstream[1:2]), strict=True):
+        np.testing.assert_allclose(g, live, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_forward_and_backward_match_rows():
@@ -149,10 +145,9 @@ def test_batch_forward_and_backward_match_rows():
     np.testing.assert_allclose(F, [f[0] for f, _ in rows], rtol=1e-12, atol=0)
     np.testing.assert_allclose(cache.prenorm, [c.prenorm[0] for _, c in rows], rtol=1e-12, atol=0)
     per_row = [net.backward(c, g[None, :]) for (_, c), g in zip(rows, upstream)]
-    summed = [(sum(r[0] for r in layer), sum(r[1] for r in layer)) for layer in zip(*per_row)]
-    for (gW, gb), (sW, sb) in zip(net.backward(cache, upstream), summed):
-        assert np.max(np.abs(gW - sW)) <= 1e-12 * np.max(np.abs(sW))
-        assert np.max(np.abs(gb - sb)) <= 1e-12 * np.max(np.abs(sb))
+    summed = [sum(rows) for rows in zip(*per_row)]
+    for g, s in zip(net.backward(cache, upstream), summed, strict=True):
+        assert np.max(np.abs(g - s)) <= 1e-12 * np.max(np.abs(s))
     with pytest.raises(ValueError, match="shape"):
         net.backward(cache, upstream[:4])
 

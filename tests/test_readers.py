@@ -276,10 +276,10 @@ def test_score_exits_2_on_bad_inputs(tmp_path, capsys):
         assert re.search(r"\.csv: line 2: ", capsys.readouterr().err)
 
 
-def check_embeddings(embs):
-    assert embs and all(isinstance(k, int) and 0 <= k < 2**63 for k in embs)
-    dims = {v.shape for v in embs.values()}
-    assert len(dims) == 1 and all(np.all(np.isfinite(v)) for v in embs.values())
+def check_embeddings(loaded):
+    index, E = loaded
+    assert index.dtype == np.int64 and index.size and np.all(index >= 0) and np.unique(index).size == index.size
+    assert E.dtype == float and E.shape[:1] == index.shape and E.ndim == 2 and np.all(np.isfinite(E))
 
 
 def check_trials(trials):
@@ -550,7 +550,7 @@ def read_embeddings_per_row(path):
     header = rows[0]
     if len(header) < 2 or header[0] != "index":
         raise ValueError(f"{path}: line 1: expected header 'index,e0,...'")
-    out = {}
+    out = {}  # index -> embedding, in file order
     for ln, row in data_rows(path, rows, lines, len(header)):
         try:
             idx = int(row[0])
@@ -563,8 +563,8 @@ def read_embeddings_per_row(path):
             raise ValueError(f"{path}: line {ln}: duplicate index {idx}")
         if not all(math.isfinite(v) for v in e):
             raise ValueError(f"{path}: line {ln}: non-finite value")
-        out[idx] = np.array(e)
-    return out
+        out[idx] = e
+    return np.array(list(out), dtype=np.int64), np.array(list(out.values()))
 
 
 def read_trials_per_row(path):
@@ -621,8 +621,7 @@ def test_read_embeddings_agrees_with_the_row_reader(tmp_path, data):
     (got, err), (want, want_err) = outcome(read_embeddings, path), outcome(read_embeddings_per_row, path)
     assert err == want_err
     if want is not None:
-        assert list(got) == list(want)
-        assert all(same_bits(got[k], want[k]) for k in want)
+        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
 
 
 def same_trials(got, want):

@@ -42,7 +42,7 @@ def quick_settings(**over):
 
 
 def test_learning_rate_endpoints_are_exact():
-    opt = SgdNesterov([np.zeros(2)], 0.05, 1e-4, total_iters=100)
+    opt = SgdNesterov(np.zeros(2), 0.05, 1e-4, total_iters=100)
     assert opt.lr_at(0) == 0.05
     assert opt.lr_at(100) == 1e-4
     assert opt.lr_at(250) == 1e-4
@@ -52,22 +52,34 @@ def test_learning_rate_endpoints_are_exact():
     with pytest.raises(ValueError):
         opt.lr_at(-1)
     with pytest.raises(ValueError):
-        SgdNesterov([np.zeros(2)], 0.05, 1e-4, total_iters=0)
+        SgdNesterov(np.zeros(2), 0.05, 1e-4, total_iters=0)
 
 
 def test_update_rule_matches_the_stated_recurrence():
     # constant lr (equal endpoints) isolates the momentum arithmetic
     lr, mu, wd = 0.1, 0.9, 0.01
     p = np.array([1.0, -2.0])
-    opt = SgdNesterov([p], lr, lr, total_iters=10, momentum=mu, weight_decay=wd)
+    opt = SgdNesterov(p, lr, lr, total_iters=10, momentum=mu, weight_decay=wd)
     theta = p.copy()
     v = np.zeros(2)
     for t, g in enumerate([np.array([0.1, 0.2]), np.array([-0.3, 0.05])]):
-        opt.step([g.copy()], t)
+        opt.step(g.copy(), t)
         gd = g + wd * theta
         v = mu * v - lr * gd
         theta = theta + mu * v - lr * gd
         np.testing.assert_array_equal(p, theta)
+
+
+def step_per_array(arrays, velocities, grads, lr, mu, wd):
+    """Oracle: the Nesterov step taken array by array, in place."""
+    for p, v, g in zip(arrays, velocities, grads, strict=True):
+        step = wd * p
+        step += g
+        step *= lr
+        v *= mu
+        v -= step
+        p += mu * v
+        p -= step
 
 
 def test_one_flat_vector_steps_like_its_arrays():
@@ -75,15 +87,26 @@ def test_one_flat_vector_steps_like_its_arrays():
     rng = np.random.default_rng(5)
     shapes = [(4, 3), (4,), (2, 4), (2,)]
     arrays = [rng.standard_normal(s) for s in shapes]
+    velocities = [np.zeros(s) for s in shapes]
     flat = np.concatenate([a.ravel() for a in arrays])
-    per_array = SgdNesterov(arrays, 0.05, 1e-3, total_iters=6, momentum=0.9, weight_decay=1e-2)
-    one = SgdNesterov([flat], 0.05, 1e-3, total_iters=6, momentum=0.9, weight_decay=1e-2)
+    one = SgdNesterov(flat, 0.05, 1e-3, total_iters=6, momentum=0.9, weight_decay=1e-2)
     for t in range(6):
         grads = [rng.standard_normal(s) for s in shapes]
-        per_array.step(grads, t)
-        one.step([np.concatenate([g.ravel() for g in grads])], t)
+        step_per_array(arrays, velocities, grads, one.lr_at(t), 0.9, 1e-2)
+        one.step(np.concatenate([g.ravel() for g in grads]), t)
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-        assert np.array_equal(one.velocity[0], np.concatenate([v.ravel() for v in per_array.velocity]))
+        assert np.array_equal(one.velocity, np.concatenate([v.ravel() for v in velocities]))
+
+
+# a short gradient, and two that numpy would broadcast over every entry
+@pytest.mark.parametrize("grad,shape", [(np.ones(3), r"\(3,\)"), (np.ones(1), r"\(1,\)"), (0.5, r"\(\)")],
+                         ids=["short", "one-entry", "scalar"])
+def test_step_rejects_a_gradient_of_another_shape(grad, shape):
+    p = np.ones(4)
+    opt = SgdNesterov(p, 0.05, 1e-4, total_iters=10)
+    with pytest.raises(ValueError, match=rf"^gradient has shape {shape}, expected \(4,\)$"):
+        opt.step(grad, 0)
+    assert np.array_equal(p, np.ones(4)) and not opt.velocity.any()  # nothing stepped
 
 
 # -- the training loop ----------------------------------------------------------
@@ -123,7 +146,9 @@ def per_sample_train(dataset, loss_config, settings):
                           scale=settings.scale, margin=settings.margin)
     bank = CovarianceBank(C, F, settings.cov_mode)
     params = embedder.parameters() + [head.weights] + ([head.biases] if head.biases is not None else [])
-    opt = SgdNesterov(params, settings.lr_init, settings.lr_final, total_iters,
+    flat = np.concatenate([p.ravel() for p in params])
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    opt = SgdNesterov(flat, settings.lr_init, settings.lr_final, total_iters,
                       settings.momentum, settings.weight_decay)
     shuffle_rng = philox_rng(settings.seed, 2)
     trials = build_trials(y[eval_idx], settings.max_nontarget_per_target, (settings.seed, 3))
@@ -141,8 +166,7 @@ def per_sample_train(dataset, loss_config, settings):
                 value, per = out.value[0], {k: v[0] for k, v in out.per_sample_terms.items()}
                 sums = [a + b for a, b in zip(sums, (value, per["cos_y"], per["coef"], per["lambda"]))]
                 diag.append([t, int(i), per["cos_y"], per["coef"], per["lambda"], value])
-                sample = [g for pair in embedder.backward(cache, out.grad_embedding) for g in pair]
-                sample.append(out.grad_weights)
+                sample = embedder.backward(cache, out.grad_embedding) + [out.grad_weights]
                 if head.biases is not None:
                     sample.append(out.grad_biases)
                 for acc, g in zip(grads, sample):
@@ -151,8 +175,9 @@ def per_sample_train(dataset, loss_config, settings):
             if not settings.stats_after_deferred_only or t / total_iters >= cfg.deferred_fraction:
                 for f, label in seen:
                     bank.update(f, label)
-            inv = 1.0 / len(batch)
-            opt.step([g * inv for g in grads], t)
+            opt.step(np.concatenate([g.ravel() for g in grads]) * (1.0 / len(batch)), t)
+            for p, v in zip(params, np.split(flat, cuts)):
+                p[...] = v.reshape(p.shape)
             t += 1
         embs = np.array([embedder.forward(X[i])[0][0] for i in eval_idx])
         eer, _, mdcf = eer_and_min_dcf(score_trials(embs, trials), settings.dcf)
@@ -181,7 +206,7 @@ def test_batched_training_matches_the_per_sample_loop(tmp_path, variant, difficu
                         diagnostics_path=str(tmp_path / "diag.csv"))
     run = train(ds, cfg, st)
     metrics, embedder, head, bank, diag = per_sample_train(ds, cfg, st)
-    assert run.total_iters * st.batch_size > ds.indices(TRAIN).size * st.epochs  # a ragged last batch
+    assert run.config.ramp_total_iters * st.batch_size > ds.indices(TRAIN).size * st.epochs  # a ragged last batch
     assert (metrics[:, 3] > 0).any() or variant not in ("isda", "dasa")  # the run crosses the deferred fraction
 
     got = np.array([[r.loss, r.mean_cos_y, r.mean_coef, r.lam, r.eer, r.min_dcf] for r in run.metrics])
@@ -295,8 +320,7 @@ def test_run_bookkeeping():
     cfg = LossConfig(variant="dasa", difficulty="DA", strength_mode="constant", lambda0=0.1, deferred_fraction=0.4)
     st = quick_settings(epochs=3, batch_size=10)
     run = train(ds, cfg, st)
-    assert run.total_iters == 3 * math.ceil(24 / 10)
-    assert run.config.ramp_total_iters == run.total_iters
+    assert run.config.ramp_total_iters == 3 * math.ceil(24 / 10)
     assert len(run.metrics) == 3
     assert run.final_eer == run.metrics[-1].eer
     assert run.final_min_dcf == run.metrics[-1].min_dcf
@@ -339,7 +363,7 @@ def test_a_loss_that_reads_the_bank_sees_every_earlier_step(monkeypatch, variant
 
     monkeypatch.setattr(trainer, "variant_loss", loss)
     run = train(ds, cfg, st)
-    assert run.total_iters == total_iters == len(steps)
+    assert run.config.ramp_total_iters == total_iters == len(steps)
     assert reads == list(range(math.ceil(0.4 * total_iters), total_iters))
 
 
@@ -358,7 +382,7 @@ def test_the_bank_merges_each_epoch_and_before_each_step_that_reads_it(monkeypat
     ds = tiny_dataset(num_classes=3, spc=10)
     run = train(ds, LossConfig(variant=variant, lambda0=0.1, deferred_fraction=deferred_fraction),
                 quick_settings(epochs=3, batch_size=5))
-    assert len(merges) == (3 if calls == "epochs" else run.total_iters)
+    assert len(merges) == (3 if calls == "epochs" else run.config.ramp_total_iters)
     assert sum(merges) == 3 * 24
 
 
@@ -454,6 +478,6 @@ def test_diagnostics_stream(tmp_path):
     assert len(body) == 2 * 24  # one row per sample visit
     iters = [int(r[0]) for r in body]
     assert iters == sorted(iters)
-    assert max(iters) == run.total_iters - 1
+    assert max(iters) == run.config.ramp_total_iters - 1
     assert all(float(r[3]) == 1.0 for r in body)  # plain margin: coef is 1
     assert all(float(r[4]) == 0.0 for r in body)  # no augmentation strength
